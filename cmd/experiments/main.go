@@ -723,7 +723,7 @@ func a2() {
 			fr.Stats.PrunedCapacity+fr.Stats.PrunedClosure)
 	}
 	fmt.Println("(Gray code repairs instead of recomputing; the frontier skips most")
-	fmt.Println(" max-flow calls outright via the capacity bound and superset closure)")
+	fmt.Println(" max-flow calls outright via superset closure, the capacity bound and cut certificates)")
 }
 
 // a3 compares all exact engines on one instance.

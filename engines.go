@@ -79,7 +79,9 @@ type Config struct {
 	// EngineCore (default 20).
 	MaxAssignmentSet int
 	// Parallelism is the worker count for the enumeration engines
-	// (≤ 0 = GOMAXPROCS).
+	// (≤ 0 = GOMAXPROCS): naive enumeration, factoring and chain
+	// segments, and the default for a compiled Plan's batch evaluation.
+	// EngineCore builds its side arrays on the calling goroutine.
 	Parallelism int
 	// Reduce applies the exact reliability-preserving reductions before
 	// solving. The reliability is unchanged; any link IDs in the Report

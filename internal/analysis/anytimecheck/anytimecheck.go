@@ -11,9 +11,6 @@
 //     (x < 1<<k and variants) — the 2^m walk idiom;
 //   - its body calls into the subset-lattice package (Submasks,
 //     SupersetZeta, …) — an inclusion–exclusion walk;
-//   - its body calls a popcount-layer iterator from the conf package
-//     (NextOfLayer, NthOfLayer, SplitLayer) — the monotone-frontier
-//     walk visits a whole binomial layer per loop;
 //   - the comment directly above it says it enumerates.
 //
 // Such a loop must contain a call to Check/Charge/Stopped on an
@@ -106,10 +103,7 @@ func isEnumLoop(pass *analysis.Pass, file *ast.File, cond ast.Expr, body *ast.Bl
 			}
 		}
 	}
-	if callsPackage(pass, body, "subset", nil) {
-		return true
-	}
-	if callsPackage(pass, body, "conf", layerIterators) {
+	if callsPackage(pass, body, "subset") {
 		return true
 	}
 	line := pass.Fset.Position(pos).Line
@@ -129,17 +123,9 @@ func containsShift(e ast.Expr) bool {
 	return found
 }
 
-// layerIterators are the conf-package functions that walk a popcount
-// layer of the configuration lattice. Plain conf helpers (Split, chunk
-// arithmetic) do not classify a loop; only the lattice walkers do.
-var layerIterators = map[string]bool{
-	"NextOfLayer": true, "NthOfLayer": true, "SplitLayer": true,
-}
-
 // callsPackage reports whether the body calls a function declared in a
-// package whose import path ends in tail. A non-nil names set restricts
-// the match to those functions.
-func callsPackage(pass *analysis.Pass, body *ast.BlockStmt, tail string, names map[string]bool) bool {
+// package whose import path ends in tail.
+func callsPackage(pass *analysis.Pass, body *ast.BlockStmt, tail string) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -153,9 +139,6 @@ func callsPackage(pass *analysis.Pass, body *ast.BlockStmt, tail string, names m
 		case *ast.SelectorExpr:
 			id = fn.Sel
 		default:
-			return true
-		}
-		if names != nil && !names[id.Name] {
 			return true
 		}
 		if obj := pass.TypesInfo.Uses[id]; obj != nil && obj.Pkg() != nil &&

@@ -4,7 +4,6 @@ package core
 
 import (
 	"anytime"
-	"conf"
 	"subset"
 )
 
@@ -88,39 +87,4 @@ func ordinaryLoop(xs []float64) float64 {
 		total += x
 	}
 	return total
-}
-
-func layeredBad(m, layer int, count uint64) uint64 {
-	mask := conf.NthOfLayer(m, layer, 0)
-	var sum uint64
-	for i := uint64(0); i < count; i++ { // want `enumeration loop never charges the anytime budget`
-		if i > 0 {
-			mask = conf.NextOfLayer(mask)
-		}
-		sum += mask
-	}
-	return sum
-}
-
-func layeredCharged(m, layer int, count uint64, ctl *anytime.Ctl) uint64 {
-	mask := conf.NthOfLayer(m, layer, 0)
-	var sum uint64
-	for i := uint64(0); i < count; i++ {
-		if !ctl.Charge(1, 0) {
-			break
-		}
-		if i > 0 {
-			mask = conf.NextOfLayer(mask)
-		}
-		sum += mask
-	}
-	return sum
-}
-
-func plainConfHelperLoop(totals []uint64) int {
-	n := 0
-	for _, t := range totals {
-		n += len(conf.Split(t, 8))
-	}
-	return n
 }

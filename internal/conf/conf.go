@@ -177,16 +177,11 @@ func SplitEnum(m int) [][2]uint64 {
 }
 
 // Split partitions the 2^m configuration space into `chunks` contiguous
-// ranges for parallel enumeration, returning [start, end) index pairs.
-// Empty ranges are omitted.
+// near-equal ranges for parallel enumeration, earlier ranges taking the
+// remainder, and returns [start, end) index pairs. Empty ranges are
+// omitted.
 func Split(m int, chunks int) [][2]uint64 {
-	return splitRange(uint64(1)<<uint(m), chunks)
-}
-
-// splitRange partitions [0, total) into up to `chunks` contiguous
-// near-equal ranges, earlier ranges taking the remainder. Empty ranges
-// are omitted.
-func splitRange(total uint64, chunks int) [][2]uint64 {
+	total := uint64(1) << uint(m)
 	if chunks < 1 {
 		chunks = 1
 	}
@@ -212,76 +207,4 @@ func splitRange(total uint64, chunks int) [][2]uint64 {
 		start += n
 	}
 	return out
-}
-
-// Binomial returns C(n, k) for 0 ≤ n ≤ MaxEnumEdges (and 0 when k is out
-// of range). Computed by a Pascal-row recurrence: every intermediate value
-// is itself a binomial coefficient ≤ C(63, 31) < 2^63, so the arithmetic
-// cannot overflow where a multiply-then-divide unranking would.
-func Binomial(n, k int) uint64 {
-	if k < 0 || k > n {
-		return 0
-	}
-	if k > n-k {
-		k = n - k
-	}
-	row := make([]uint64, k+1)
-	row[0] = 1
-	for i := 1; i <= n; i++ {
-		hi := k
-		if i < hi {
-			hi = i
-		}
-		for j := hi; j >= 1; j-- {
-			row[j] += row[j-1]
-		}
-	}
-	return row[k]
-}
-
-// NextOfLayer returns the next mask after v with the same popcount in
-// increasing numeric order (Gosper's hack). The caller bounds the walk;
-// behaviour past the last mask of the layer is undefined.
-func NextOfLayer(v Mask) Mask {
-	c := v & (^v + 1)
-	r := v + c
-	return (((v ^ r) >> 2) / c) | r
-}
-
-// NthOfLayer returns the rank-th (0-based) m-bit mask with popcount k, in
-// increasing numeric order. This is combinatorial-number-system unranking:
-// masks with k bits sorted numerically coincide with colexicographic order
-// of the bit-position sets, whose rank is Σ_{i=1..k} C(pos_i, i) over the
-// ascending positions, so the digits peel off greedily from the top.
-// rank must be < C(m, k).
-func NthOfLayer(m, k int, rank uint64) Mask {
-	var mask Mask
-	hi := m - 1
-	for j := k; j >= 1; j-- {
-		c := hi
-		for Binomial(c, j) > rank {
-			c--
-		}
-		mask |= 1 << uint(c)
-		rank -= Binomial(c, j)
-		hi = c - 1
-	}
-	return mask
-}
-
-// SplitLayer partitions the C(m, layer) masks of one popcount layer into
-// contiguous rank ranges under the same determinism policy as SplitEnum:
-// up to EnumChunks chunks, never smaller than minChunkConfigs masks, and a
-// function of (m, layer) alone so layered enumeration stays bit-identical
-// for any worker count. Ranks convert to masks via NthOfLayer/NextOfLayer.
-func SplitLayer(m, layer int) [][2]uint64 {
-	total := Binomial(m, layer)
-	chunks := EnumChunks
-	if uint64(chunks)*minChunkConfigs > total {
-		chunks = int(total / minChunkConfigs)
-		if chunks < 1 {
-			chunks = 1
-		}
-	}
-	return splitRange(total, chunks)
 }

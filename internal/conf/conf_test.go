@@ -217,77 +217,3 @@ func TestQuickProbSum(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestBinomialMatchesBig(t *testing.T) {
-	for n := 0; n <= MaxEnumEdges; n++ {
-		for _, k := range []int{0, 1, 2, n / 3, n / 2, n - 1, n} {
-			if k < 0 {
-				continue
-			}
-			want := new(big.Int).Binomial(int64(n), int64(k))
-			if !want.IsUint64() {
-				t.Fatalf("C(%d,%d) exceeds uint64", n, k)
-			}
-			if got := Binomial(n, k); got != want.Uint64() {
-				t.Fatalf("Binomial(%d,%d) = %d, want %s", n, k, got, want)
-			}
-		}
-	}
-	if Binomial(5, -1) != 0 || Binomial(5, 6) != 0 {
-		t.Fatal("out-of-range k must give 0")
-	}
-}
-
-// Property: NthOfLayer enumerates exactly the popcount-k masks of m bits
-// in increasing numeric order, and NextOfLayer steps between consecutive
-// ones.
-func TestLayerUnranking(t *testing.T) {
-	for m := 0; m <= 12; m++ {
-		for k := 0; k <= m; k++ {
-			total := Binomial(m, k)
-			prev := Mask(0)
-			for rank := uint64(0); rank < total; rank++ {
-				mask := NthOfLayer(m, k, rank)
-				if bits.OnesCount64(mask) != k || mask >= 1<<uint(m) {
-					t.Fatalf("NthOfLayer(%d,%d,%d) = %#x: not a %d-bit popcount-%d mask", m, k, rank, mask, m, k)
-				}
-				if rank > 0 {
-					if mask <= prev {
-						t.Fatalf("NthOfLayer(%d,%d,%d) = %#x not above predecessor %#x", m, k, rank, mask, prev)
-					}
-					if next := NextOfLayer(prev); next != mask {
-						t.Fatalf("NextOfLayer(%#x) = %#x, want %#x", prev, next, mask)
-					}
-				}
-				prev = mask
-			}
-		}
-	}
-}
-
-// TestSplitLayer: the rank ranges partition [0, C(m,k)) contiguously
-// under the SplitEnum chunking policy.
-func TestSplitLayer(t *testing.T) {
-	for m := 0; m <= 20; m++ {
-		for k := 0; k <= m; k++ {
-			total := Binomial(m, k)
-			ranges := SplitLayer(m, k)
-			if len(ranges) > EnumChunks {
-				t.Fatalf("SplitLayer(%d,%d): %d chunks > EnumChunks", m, k, len(ranges))
-			}
-			var next uint64
-			for _, r := range ranges {
-				if r[0] != next || r[1] <= r[0] {
-					t.Fatalf("SplitLayer(%d,%d): range %v does not continue at %d", m, k, r, next)
-				}
-				if n := r[1] - r[0]; len(ranges) > 1 && n < minChunkConfigs {
-					t.Fatalf("SplitLayer(%d,%d): chunk of %d masks below the %d grain", m, k, n, minChunkConfigs)
-				}
-				next = r[1]
-			}
-			if next != total {
-				t.Fatalf("SplitLayer(%d,%d) covers %d of %d masks", m, k, next, total)
-			}
-		}
-	}
-}

@@ -42,14 +42,14 @@ import (
 type SideEngine int
 
 const (
-	// SideFrontier (the default) enumerates configurations in
-	// popcount-ascending order and exploits the monotonicity of flow
-	// feasibility: a capacity bound discards configurations whose live
-	// links cannot carry an assignment's load, and a bit-parallel superset
-	// closure marks every configuration above an already-realized one —
-	// so max-flow is paid only on the feasibility boundary. It produces
-	// bit-identical realization arrays to SideBinary and falls back to it
-	// automatically where the layered machinery cannot win (tiny sides).
+	// SideFrontier (the default) walks the configurations once in
+	// ascending order on the calling goroutine and exploits the
+	// monotonicity of flow feasibility: a bit-parallel superset closure
+	// marks every configuration above an already-realized one, and a
+	// capacity bound and the minimum cuts of earlier failed solves
+	// discard configurations that cannot carry an assignment's load — so
+	// max-flow is paid only where none of these decides. It produces
+	// bit-identical realization arrays to SideBinary (frontier.go).
 	SideFrontier SideEngine = iota
 	// SideBinary solves every (assignment, configuration) max-flow
 	// problem from scratch, in plain binary counting order.
@@ -93,8 +93,9 @@ type Options struct {
 	// takes O(2^{|𝒟|}) memory). The paper assumes d and k constant, which
 	// is exactly this bound.
 	MaxAssignmentSet int
-	// Parallelism is the number of worker goroutines for side-array
-	// construction; ≤ 0 means GOMAXPROCS.
+	// Parallelism is the number of worker goroutines for the dense side
+	// engines (SideBinary, SideGrayCode); ≤ 0 means GOMAXPROCS. The
+	// default SideFrontier walk runs on the calling goroutine.
 	Parallelism int
 	Side        SideEngine
 	Accum       Accumulation
@@ -137,16 +138,19 @@ type Stats struct {
 	// decisions — the paper's |𝒟|·2^{|E_side|} cost term.
 	RealizationChecks int64
 	// PrunedCapacity counts (assignment, configuration) pairs the frontier
-	// engine decided unrealizable because the live links' capacity sum
-	// cannot carry the assignment's load — no max-flow call needed.
+	// and delta walks decided unrealizable without a max-flow call
+	// because a cut below the assignment's load separates them: the live
+	// links' capacity sum, or the minimum cut of an earlier failed solve
+	// of the same walk (a cut certificate).
 	PrunedCapacity int64
 	// PrunedClosure counts pairs decided realizable by superset closure:
 	// a submask of the configuration already realizes the assignment.
 	PrunedClosure int64
 	// FrontierMaxFlowCalls counts the max-flow invocations the frontier
-	// engine actually paid (the feasibility-boundary size, including
-	// incremental repair solves); the pruned pairs above are the calls a
-	// dense enumeration would have made instead.
+	// engine actually paid (the pairs no closure, capacity bound or
+	// certificate decided, including incremental repair solves); the
+	// pruned pairs above are the calls a dense enumeration would have
+	// made instead.
 	FrontierMaxFlowCalls int64
 	// DeltaReused counts (assignment, configuration) decisions a delta
 	// compile (MutatePlan) inherited from the parent plan — copied or
@@ -239,41 +243,18 @@ func buildSide(sub *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, 
 	buildStart := time.Now()
 	callsBefore := st.MaxFlowCalls
 
-	proto, handles, demandArcs, src, dst := sideProto(sub, terminal, ends, toSink)
-
 	sa := &sideArray{
 		m:        m,
 		realized: make([]uint64, uint64(1)<<uint(m)),
 	}
 	st.SideConfigs[sideIdx] = uint64(1) << uint(m)
 
-	engine := opt.Side
-	if engine == SideFrontier && m < frontierMinEdges {
-		// The layered walk cannot beat a straight scan over ≤ 2 configs.
-		engine = SideBinary
-	}
 	var err error
-	if engine == SideFrontier {
-		f := &frontierCtx{
-			proto:      proto,
-			handles:    handles,
-			demandArcs: demandArcs,
-			src:        src,
-			dst:        dst,
-			d:          ds.D,
-			ds:         ds,
-			opt:        opt,
-			sa:         sa,
-			caps:       make([]int, m),
-			need:       sideNeeds(ds, ends, terminal),
-			allBits:    (uint64(1) << uint(ds.Len())) - 1,
-		}
-		for _, e := range sub.G.Edges() {
-			f.caps[e.ID] = e.Cap
-		}
-		err = buildSideFrontier(f, st)
+	if opt.Side == SideFrontier {
+		err = buildSideFrontier(newFrontierCtx(sub, terminal, ends, toSink, ds, opt), sa.realized, st)
 	} else {
-		err = buildSideWave(proto, handles, demandArcs, src, dst, ds, opt, st, sa, engine)
+		proto, handles, demandArcs, src, dst := sideProto(sub, terminal, ends, toSink)
+		err = buildSideWave(proto, handles, demandArcs, src, dst, ds, opt, st, sa, opt.Side)
 	}
 	if err != nil {
 		return nil, err
@@ -295,8 +276,8 @@ func buildSide(sub *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, 
 
 // sideProto builds the prototype max-flow network for one component: the
 // component links plus one super terminal carrying the per-assignment
-// demand arcs. Shared by the cold side build and the delta rebuild so
-// both solve on byte-identical networks.
+// demand arcs. Shared by every side engine, cold or delta, so all of
+// them solve on byte-identical networks.
 func sideProto(sub *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, toSink bool) (proto *maxflow.Network, handles, demandArcs []maxflow.Handle, src, dst int32) {
 	proto = maxflow.New(sub.G.NumNodes())
 	super := proto.AddNode()

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 
 	"flowrel/internal/anytime"
-	"flowrel/internal/assign"
 	"flowrel/internal/graph"
 	"flowrel/internal/mincut"
 )
@@ -128,30 +127,6 @@ func sideAligned(parentLinks, remap, newLinks []graph.EdgeID, skip int) bool {
 	return k == len(newLinks)
 }
 
-// newDeltaSide builds the sequential solver context for one touched side
-// of the mutated graph: the same prototype network, capacity vector and
-// need vector a cold frontier build would use.
-func newDeltaSide(sub *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, toSink bool, ds *assign.Set, opt *Options) *frontierCtx {
-	proto, handles, demandArcs, src, dst := sideProto(sub, terminal, ends, toSink)
-	f := &frontierCtx{
-		proto:      proto,
-		handles:    handles,
-		demandArcs: demandArcs,
-		src:        src,
-		dst:        dst,
-		d:          ds.D,
-		ds:         ds,
-		opt:        opt,
-		caps:       make([]int, len(handles)),
-		need:       sideNeeds(ds, ends, terminal),
-		allBits:    (uint64(1) << uint(ds.Len())) - 1,
-	}
-	for _, e := range sub.G.Edges() {
-		f.caps[e.ID] = e.Cap
-	}
-	return f
-}
-
 // extractRemovedInto fills the child side's realization array after link
 // j was removed: child configuration c is the parent configuration with a
 // zero inserted at bit j (a disabled link and an absent link induce the
@@ -212,11 +187,11 @@ func immediateClosure(realized []uint64, mask, full uint64) uint64 {
 //     for grow the closure is contained in parent[mask], for add it
 //     equals the j-less twin, and for shrink no bit needs re-proving
 //     when parent[mask] ⊆ twin.
-//   - Infeasibility certifies downward. Grow and add scan top-down and
-//     remember, per assignment, the maximal masks a solve proved
-//     infeasible; any later (smaller) candidate contained in one is
-//     decided without a solve. Feasible solves need no bookkeeping at
-//     all: every superset was already decided by its own exact solve.
+//   - Infeasibility certifies through the cut. Every failed solve of
+//     the walk records the links crossing its minimum cut that the
+//     solved mask lacks (frontier.go); a later candidate enabling none
+//     of them is decided without a solve. The certificates are made
+//     under the mutated capacities, so they live for this walk only.
 //
 // Final words are bit-identical to the reference loop's in every case —
 // each bit is either copied from an exact parent word or re-derived by
@@ -234,25 +209,25 @@ func walkDelta(f *frontierCtx, w *frontierWorker, out []uint64, j int, mode delt
 			owned = true
 		}
 	}
+	n := f.ds.Len()
+	certs := newCertTable(n)
 	if f.opt.TestHook != nil {
 		ensureOwned()
-		return out, walkDeltaFrom(f, w, out, j, mode, cur, 0, 0, w.stats.FrontierMaxFlowCalls)
+		return out, walkDeltaFrom(f, w, certs, out, j, mode, cur, 0, 0, w.stats.FrontierMaxFlowCalls)
 	}
 	m := len(f.handles)
-	n := f.ds.Len()
 	half := uint64(1) << uint(m-1)
 	lowMask := uint64(1)<<uint(j) - 1
 	jBit := uint64(1) << uint(j)
 	step := 2 * uint64(n)
 	var sinceCheck uint64
 	callsMark := w.stats.FrontierMaxFlowCalls
-	var checks, reused, prunedClo, prunedCap int64
+	var checks, reused, prunedClo int64
 	flush := func() bool {
 		w.stats.RealizationChecks += checks
 		w.stats.DeltaReused += reused
 		w.stats.PrunedClosure += prunedClo
-		w.stats.PrunedCapacity += prunedCap
-		checks, reused, prunedClo, prunedCap = 0, 0, 0, 0
+		checks, reused, prunedClo = 0, 0, 0
 		ok := f.opt.Ctl.Charge(sinceCheck, w.stats.FrontierMaxFlowCalls-callsMark)
 		sinceCheck, callsMark = 0, w.stats.FrontierMaxFlowCalls
 		return ok
@@ -286,20 +261,7 @@ func walkDelta(f *frontierCtx, w *frontierWorker, out []uint64, j int, mode delt
 				nw := closure
 				if cand := word &^ closure; cand != 0 {
 					*cur = mask
-					capSum := 0
-					for mm := mask; mm != 0; mm &= mm - 1 {
-						capSum += f.caps[bits.TrailingZeros64(mm)]
-					}
-					for r := cand; r != 0; r &= r - 1 {
-						j2 := bits.TrailingZeros64(r)
-						if capSum < f.need[j2] {
-							prunedCap++
-							continue
-						}
-						if w.solve(f, j2, mask) {
-							nw |= uint64(1) << uint(j2)
-						}
-					}
+					nw |= w.decide(f, certs, mask, cand)
 				}
 				if nw != word {
 					ensureOwned()
@@ -307,7 +269,7 @@ func walkDelta(f *frontierCtx, w *frontierWorker, out []uint64, j int, mode delt
 					if !flush() {
 						return out, false
 					}
-					return out, walkDeltaFrom(f, w, out, j, mode, cur, ww+1, 0, w.stats.FrontierMaxFlowCalls)
+					return out, walkDeltaFrom(f, w, certs, out, j, mode, cur, ww+1, 0, w.stats.FrontierMaxFlowCalls)
 				}
 			}
 			if sinceCheck >= anytime.CheckEvery && !flush() {
@@ -317,14 +279,9 @@ func walkDelta(f *frontierCtx, w *frontierWorker, out []uint64, j int, mode delt
 		return out, flush()
 	}
 
-	// Grow and add: top-down scan with downward infeasibility
-	// certificates. certs[r] holds maximal masks where assignment r was
-	// solved infeasible under the mutated capacities; the list stays an
-	// antichain because covered candidates never solve. The cap bounds
-	// the containment scan on adversarial instances — beyond it the scan
-	// degrades to solving, never past the reference loop's work.
-	const certCap = 32
-	certs := make([][]uint64, n)
+	// Grow and add: top-down scan. The parent words stand in for the
+	// closure, so any order is exact; descending meets the large masks
+	// first, whose failed solves leave certificates with the fewest links.
 	for ww := half; ww > 0; {
 		ww--
 		mask := (ww & lowMask) | (ww&^lowMask)<<1 | jBit
@@ -346,38 +303,8 @@ func walkDelta(f *frontierCtx, w *frontierWorker, out []uint64, j int, mode delt
 				reused += int64(n)
 				prunedClo += int64(bits.OnesCount64(word))
 			}
-			capSum := -1
-			for r := cand; r != 0; r &= r - 1 {
-				j2 := bits.TrailingZeros64(r)
-				cl := certs[j2]
-				covered := false
-				for i := len(cl) - 1; i >= 0; i-- {
-					if mask&^cl[i] == 0 {
-						covered = true
-						break
-					}
-				}
-				if covered {
-					reused++
-					continue
-				}
-				if capSum < 0 {
-					capSum = 0
-					for mm := mask; mm != 0; mm &= mm - 1 {
-						capSum += f.caps[bits.TrailingZeros64(mm)]
-					}
-				}
-				if capSum < f.need[j2] {
-					prunedCap++
-					continue
-				}
-				*cur = mask
-				if w.solve(f, j2, mask) {
-					word |= uint64(1) << uint(j2)
-				} else if len(cl) < certCap {
-					certs[j2] = append(cl, mask)
-				}
-			}
+			*cur = mask
+			word |= w.decide(f, certs, mask, cand)
 		}
 		if mode == deltaAdd {
 			out[mask] = word
@@ -396,7 +323,7 @@ func walkDelta(f *frontierCtx, w *frontierWorker, out []uint64, j int, mode delt
 // arbitrary compressed index with carried charge state. walkDelta runs it
 // outright when a test hook needs every mask visited in order, and
 // resumes it mid-walk when a shrink drops a bit.
-func walkDeltaFrom(f *frontierCtx, w *frontierWorker, out []uint64, j int, mode deltaMode, cur *uint64, start, sinceCheck uint64, callsMark int64) bool {
+func walkDeltaFrom(f *frontierCtx, w *frontierWorker, certs certTable, out []uint64, j int, mode deltaMode, cur *uint64, start, sinceCheck uint64, callsMark int64) bool {
 	m := len(f.handles)
 	n := f.ds.Len()
 	half := uint64(1) << uint(m-1)
@@ -461,20 +388,7 @@ func walkDeltaFrom(f *frontierCtx, w *frontierWorker, out []uint64, j int, mode 
 			}
 		}
 		if candidates != 0 {
-			capSum := 0
-			for mm := mask; mm != 0; mm &= mm - 1 {
-				capSum += f.caps[bits.TrailingZeros64(mm)]
-			}
-			for r := candidates; r != 0; r &= r - 1 {
-				j2 := bits.TrailingZeros64(r)
-				if capSum < f.need[j2] {
-					w.stats.PrunedCapacity++
-					continue
-				}
-				if w.solve(f, j2, mask) {
-					word |= uint64(1) << uint(j2)
-				}
-			}
+			word |= w.decide(f, certs, mask, candidates)
 		}
 		out[mask] = word
 		if sinceCheck >= anytime.CheckEvery {
@@ -605,9 +519,9 @@ func snapshotNets(w *frontierWorker) netStats {
 	return s
 }
 
-// foldWorker folds a delta worker's counters and its warm networks' solver
-// stats into st, counting network work only past the base snapshot —
-// exactly this walk's share when the worker was inherited warm.
+// foldWorker folds a walk's counters and its networks' solver stats into
+// st, counting network work only past the base snapshot — exactly this
+// walk's share when a delta worker was inherited warm.
 func foldWorker(st *Stats, w *frontierWorker, base netStats) {
 	st.add(&w.stats)
 	now := snapshotNets(w)

@@ -252,3 +252,52 @@ func TestMutateBudgetInterruption(t *testing.T) {
 		t.Fatalf("interruption error does not wrap ErrInterrupted: %v", err)
 	}
 }
+
+// TestMutateGrowAfterShrinkWarmState: a cut certificate holds only under
+// the capacities of the walk that made it. The chain shrinks each side
+// link to zero and grows it back, one link after another, so every walk
+// runs on the warm solver state the previous one handed down the chain.
+// A certificate the shrink walk recorded rules out masks that the grown
+// link carries again; were it kept, the grow walk would skip solves it
+// must pay, and the step would stop matching its cold compile.
+func TestMutateGrowAfterShrinkWarmState(t *testing.T) {
+	const wantGraphs = 30
+	opt := Options{MaxAssignmentSet: 62}
+	count := 0
+	for seed := int64(0); count < wantGraphs && seed < 50*wantGraphs; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g, dem, _ := plantBottleneck(rng, 3+rng.Intn(3), 4+rng.Intn(5), 1+rng.Intn(3), 1+rng.Intn(3))
+		parent, err := Compile(g, dem, opt)
+		if err != nil || parent.ds == nil {
+			continue
+		}
+		count++
+		step := 0
+		for side := 0; side < 2; side++ {
+			for _, link := range parent.sideLinks[side] {
+				orig := g.Edge(link).Cap
+				for _, c := range []int{0, orig} {
+					mut := graph.Mutation{Kind: graph.MutateCapacity, Link: link, Cap: c}
+					g2, remap, err := mut.Apply(g)
+					if err != nil {
+						t.Fatalf("seed %d: %v: %v", seed, mut, err)
+					}
+					delta, err := MutatePlan(parent, g, g2, dem, mut, remap, opt)
+					if err != nil {
+						t.Fatalf("seed %d step %d: MutatePlan %v: %v", seed, step, mut, err)
+					}
+					cold, err := Compile(g2, dem, opt)
+					if err != nil {
+						t.Fatalf("seed %d step %d: cold compile: %v", seed, step, err)
+					}
+					assertPlansEqual(t, seed, step, delta, cold, 0, 0)
+					g, parent = g2, delta
+					step++
+				}
+			}
+		}
+	}
+	if count < wantGraphs {
+		t.Fatalf("corpus produced only %d usable graphs, want ≥ %d", count, wantGraphs)
+	}
+}

@@ -2,53 +2,55 @@ package core
 
 import (
 	"math/bits"
-	"sync"
 
 	"flowrel/internal/anytime"
 	"flowrel/internal/assign"
-	"flowrel/internal/conf"
+	"flowrel/internal/graph"
 	"flowrel/internal/maxflow"
-	"flowrel/internal/subset"
 )
 
 // The frontier engine (SideFrontier) builds the same realization array as
-// the dense engines while paying max-flow only on the feasibility
-// boundary. It rests on one fact: realization is monotone in the link set.
-// Adding a live link never removes an s–t flow, so if configuration S
-// realizes assignment a then every superset of S does, and if the live
-// links of S cannot jointly carry a's load then no max-flow call on S can
-// succeed. Enumerating configurations in popcount-ascending layers makes
-// both directions of that fact free to apply:
+// the dense engines while paying max-flow only where no exact argument
+// decides a pair. It rests on one fact: realization is monotone in the
+// link set. Adding a live link never removes an s–t flow, so if
+// configuration S realizes assignment a then every superset of S does,
+// and if S cannot carry a's load then no subset of S can. The walk visits
+// the masks in increasing numeric order, on the calling goroutine, and
+// decides each (assignment, mask) pair by the first of these that
+// applies:
 //
-//   - upward (closure): before layer ℓ is decided, every layer below it
-//     is complete, so OR-ing each mask's immediate-submask words
-//     (subset.OrZetaLayer — one uint64 OR decides all ≤64 assignments at
+//   - upward (closure): every immediate submask of a mask is numerically
+//     smaller and therefore final, so OR-ing their words
+//     (immediateClosure — one uint64 OR decides all ≤64 assignments at
 //     once) marks exactly the pairs with a realized submask; they are
 //     realized with zero max-flow calls.
-//   - downward (capacity bound): Σ capacities of the live links, plus any
-//     demand that enters the super terminal directly at the real
-//     terminal, upper-bounds the max flow; assignments whose load exceeds
-//     it are unrealizable with zero max-flow calls.
+//   - capacity bound: Σ capacities of the live links, plus any demand
+//     that enters the super terminal directly at the real terminal,
+//     upper-bounds the max flow; assignments whose load exceeds it are
+//     unrealizable with zero max-flow calls.
+//   - cut certificate: a failed solve leaves a minimum cut whose capacity
+//     is the max flow, below the load. The links crossing it that the
+//     solved mask lacks form a certificate A: any mask with mask&A == 0
+//     enables no crossing link the solved mask lacked, so the same cut
+//     holds it below the load. Such pairs are unrealizable with zero
+//     max-flow calls.
+//   - otherwise one warm-started max-flow solve, which on failure records
+//     its certificate.
 //
-// Neither filter guesses: both are exact implications of max-flow
-// feasibility, so the surviving pairs — the boundary between the two
-// regions — are the only ones solved, and the resulting array is
-// bit-identical to SideBinary's. Budget accounting is also identical:
-// every (assignment, configuration) pair is charged whether it was pruned
-// or solved, so anytime budgets and certified partial bounds see the same
-// configuration counts as the dense engines.
-//
-// Layers are processed under a barrier (closure needs layer ℓ−1 final);
-// within a layer, rank ranges from conf.SplitLayer fan out to workers.
-// Worker states — per-assignment residual networks — persist across
-// chunks and layers on a free stack, so popcount-adjacent masks warm-start
-// via maxflow.RetargetIncremental instead of re-solving from scratch.
+// None of these guesses: each is an exact implication of max-flow
+// feasibility, so the resulting array is bit-identical to SideBinary's.
+// Budget accounting is also identical: every (assignment, configuration)
+// pair is charged whether it was pruned or solved, so anytime budgets and
+// certified partial bounds see the same configuration counts as the dense
+// engines. A certificate holds only under the capacities it was made
+// with, so every walk — cold or delta — starts with empty lists.
 
-// frontierMinEdges is the smallest side the frontier engine takes on;
-// below it buildSide falls back to the plain binary walk.
-const frontierMinEdges = 2
+// certCap bounds each assignment's certificate list, and with it the
+// containment scan per open pair; past it the least recently used
+// certificate makes room, so the scan never grows past a fixed cost.
+const certCap = 32
 
-// frontierCtx carries the per-side inputs shared by all frontier workers.
+// frontierCtx carries the per-side inputs of one walk.
 type frontierCtx struct {
 	proto      *maxflow.Network
 	handles    []maxflow.Handle
@@ -57,13 +59,35 @@ type frontierCtx struct {
 	d          int
 	ds         *assign.Set
 	opt        *Options
-	sa         *sideArray
 	caps       []int  // per side link, for the capacity bound
 	need       []int  // per assignment: d minus its direct-at-terminal demand
 	allBits    uint64 // low ds.Len() bits set
 }
 
-// frontierWorker is one worker's private state: a lazily cloned residual
+// newFrontierCtx builds the solver context for one side, for the cold
+// walk and the delta walks alike.
+func newFrontierCtx(sub *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, toSink bool, ds *assign.Set, opt *Options) *frontierCtx {
+	proto, handles, demandArcs, src, dst := sideProto(sub, terminal, ends, toSink)
+	f := &frontierCtx{
+		proto:      proto,
+		handles:    handles,
+		demandArcs: demandArcs,
+		src:        src,
+		dst:        dst,
+		d:          ds.D,
+		ds:         ds,
+		opt:        opt,
+		caps:       make([]int, len(handles)),
+		need:       sideNeeds(ds, ends, terminal),
+		allBits:    (uint64(1) << uint(ds.Len())) - 1,
+	}
+	for _, e := range sub.G.Edges() {
+		f.caps[e.ID] = e.Cap
+	}
+	return f
+}
+
+// frontierWorker is the walk's solver state: a lazily cloned residual
 // network per assignment, each remembering the configuration and flow
 // value it last solved, so the next mask repairs instead of recomputing.
 type frontierWorker struct {
@@ -73,149 +97,123 @@ type frontierWorker struct {
 	stats Stats
 }
 
-// buildSideFrontier drives the layered walk for one side. It returns the
-// first worker error; interruption is left for the caller to detect via
-// opt.Ctl.Stopped (matching buildSideWave).
-func buildSideFrontier(f *frontierCtx, st *Stats) error {
-	m := f.sa.m
-	n := f.ds.Len()
-
-	// Free stack of worker states: the semaphore bounds concurrency at
-	// opt.Parallelism, so at most that many states are ever created, and
-	// each keeps its warm networks across chunk and layer boundaries.
-	var (
-		poolMu  sync.Mutex
-		pool    []*frontierWorker
-		retired []*frontierWorker
-	)
-	getWorker := func() *frontierWorker {
-		poolMu.Lock()
-		defer poolMu.Unlock()
-		if k := len(pool); k > 0 {
-			w := pool[k-1]
-			pool = pool[:k-1]
-			return w
-		}
-		w := &frontierWorker{
-			nets: make([]*maxflow.Network, n),
-			cur:  make([]uint64, n),
-			val:  make([]int, n),
-		}
-		retired = append(retired, w)
-		return w
+func newFrontierWorker(n int) *frontierWorker {
+	return &frontierWorker{
+		nets: make([]*maxflow.Network, n),
+		cur:  make([]uint64, n),
+		val:  make([]int, n),
 	}
-	putWorker := func(w *frontierWorker) {
-		poolMu.Lock()
-		pool = append(pool, w)
-		poolMu.Unlock()
-	}
-
-	sem := make(chan struct{}, f.opt.Parallelism)
-	var firstErr error
-	for layer := 0; layer <= m && firstErr == nil; layer++ {
-		if f.opt.Ctl.Stopped() {
-			break
-		}
-		ranges := conf.SplitLayer(m, layer)
-		errs := make([]error, len(ranges))
-		var wg sync.WaitGroup
-		for ci, r := range ranges {
-			wg.Add(1)
-			go func(ci int, lo, hi uint64) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				cur := lo
-				defer anytime.RecoverInto(&errs[ci], f.opt.Ctl, "core frontier worker", &cur)
-				if f.opt.Ctl.Stopped() {
-					return
-				}
-				w := getWorker()
-				defer putWorker(w)
-				first := conf.NthOfLayer(m, layer, lo)
-				// Close this chunk's masks over the (complete) layers
-				// below, then decide what the closure left open.
-				subset.OrZetaLayer(f.sa.realized, first, hi-lo)
-				w.walk(f, first, hi-lo, &cur)
-			}(ci, r[0], r[1])
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				firstErr = err
-				break
-			}
-		}
-	}
-
-	// Fold the retired worker states — counters first, then each warm
-	// network's solver stats — exactly as the wave engine sums its chunks.
-	for _, w := range retired {
-		st.add(&w.stats)
-		for _, nw := range w.nets {
-			if nw != nil {
-				st.MaxFlowCalls += nw.Stats.MaxFlowCalls
-				st.AugmentUnits += nw.Stats.AugmentUnits
-				st.AugmentingPaths += nw.Stats.AugmentingPaths
-			}
-		}
-	}
-	return firstErr
 }
 
-// walk decides `count` masks of one popcount layer starting at `first`
-// (numeric order). The chunk's closure pass has already run, so
-// f.sa.realized[mask] holds the assignments realized by some submask;
-// only the rest are filtered by capacity and, surviving that, solved.
-func (w *frontierWorker) walk(f *frontierCtx, first, count uint64, cur *uint64) {
+// certTable holds one walk's cut certificates per assignment, most
+// recently used first. The lists share one backing array of certCap
+// slots each, so recording never allocates.
+type certTable [][]uint64
+
+func newCertTable(n int) certTable {
+	buf := make([]uint64, n*certCap)
+	t := make(certTable, n)
+	for j := range t {
+		t[j] = buf[j*certCap : j*certCap : (j+1)*certCap]
+	}
+	return t
+}
+
+// covers reports whether a certificate of assignment j rules out mask,
+// moving the hit to the front of the list.
+func (t certTable) covers(j int, mask uint64) bool {
+	l := t[j]
+	for i, a := range l {
+		if mask&a == 0 {
+			copy(l[1:i+1], l[:i])
+			l[0] = a
+			return true
+		}
+	}
+	return false
+}
+
+// record puts a fresh certificate at the front of assignment j's list,
+// dropping the least recently used one when the list is full.
+func (t certTable) record(j int, a uint64) {
+	l := t[j]
+	if len(l) < certCap {
+		l = l[:len(l)+1]
+	}
+	copy(l[1:], l)
+	l[0] = a
+	t[j] = l
+}
+
+// buildSideFrontier runs the ascending walk for one side, filling
+// realized. A panic on the walk (a TestHook fault, say) comes back as
+// the error; interruption is left for the caller to detect via
+// opt.Ctl.Stopped (matching buildSideWave).
+func buildSideFrontier(f *frontierCtx, realized []uint64, st *Stats) (err error) {
 	n := f.ds.Len()
-	mask := first
+	w := newFrontierWorker(n)
+	defer foldWorker(st, w, netStats{})
+	cur := uint64(0)
+	defer anytime.RecoverInto(&err, f.opt.Ctl, "core frontier walk", &cur)
+	certs := newCertTable(n)
 	var sinceCheck uint64
 	callsMark := w.stats.FrontierMaxFlowCalls
-	for i := uint64(0); i < count; i++ {
-		if i > 0 {
-			mask = conf.NextOfLayer(mask)
-		}
-		*cur = mask
+	for mask := uint64(0); mask < uint64(len(realized)); mask++ {
+		cur = mask
 		if f.opt.TestHook != nil {
 			f.opt.TestHook(mask)
 		}
 		sinceCheck += uint64(n)
 		w.stats.RealizationChecks += int64(n)
-		closure := f.sa.realized[mask]
-		w.stats.PrunedClosure += int64(bits.OnesCount64(closure))
-		if rem := f.allBits &^ closure; rem != 0 {
-			capSum := 0
-			for mm := mask; mm != 0; mm &= mm - 1 {
-				capSum += f.caps[bits.TrailingZeros64(mm)]
-			}
-			word := closure
-			for r := rem; r != 0; r &= r - 1 {
-				j := bits.TrailingZeros64(r)
-				if capSum < f.need[j] {
-					w.stats.PrunedCapacity++
-					continue
-				}
-				if w.solve(f, j, mask) {
-					word |= uint64(1) << uint(j)
-				}
-			}
-			f.sa.realized[mask] = word
+		word := immediateClosure(realized, mask, f.allBits)
+		w.stats.PrunedClosure += int64(bits.OnesCount64(word))
+		if cand := f.allBits &^ word; cand != 0 {
+			word |= w.decide(f, certs, mask, cand)
 		}
+		realized[mask] = word
 		if sinceCheck >= anytime.CheckEvery {
 			if !f.opt.Ctl.Charge(sinceCheck, w.stats.FrontierMaxFlowCalls-callsMark) {
-				return
+				return nil
 			}
 			sinceCheck, callsMark = 0, w.stats.FrontierMaxFlowCalls
 		}
 	}
 	f.opt.Ctl.Charge(sinceCheck, w.stats.FrontierMaxFlowCalls-callsMark)
+	return nil
+}
+
+// decide settles the open candidate assignments of one mask — the pairs
+// neither closure nor parent transfer decided — and returns those the
+// mask realizes. Each candidate goes through the capacity bound, then
+// the walk's certificates, then a solve whose failure records a new
+// certificate. Both skips count as PrunedCapacity: each is a cut whose
+// capacity is below the load.
+func (w *frontierWorker) decide(f *frontierCtx, certs certTable, mask, cand uint64) uint64 {
+	capSum := 0
+	for mm := mask; mm != 0; mm &= mm - 1 {
+		capSum += f.caps[bits.TrailingZeros64(mm)]
+	}
+	var got uint64
+	for r := cand; r != 0; r &= r - 1 {
+		j := bits.TrailingZeros64(r)
+		if capSum < f.need[j] || certs.covers(j, mask) {
+			w.stats.PrunedCapacity++
+			continue
+		}
+		if ok, cut := w.solve(f, j, mask); ok {
+			got |= uint64(1) << uint(j)
+		} else {
+			certs.record(j, cut&^mask)
+		}
+	}
+	return got
 }
 
 // solve pays a max-flow call for one surviving (assignment, mask) pair,
-// warm-starting from wherever this worker's network for the assignment
-// last stood, and reports whether the mask realizes the assignment.
-func (w *frontierWorker) solve(f *frontierCtx, j int, mask uint64) bool {
+// warm-starting from wherever the assignment's network last stood, and
+// reports whether the mask realizes the assignment. On failure it also
+// returns the side links crossing the solve's minimum cut.
+func (w *frontierWorker) solve(f *frontierCtx, j int, mask uint64) (bool, uint64) {
 	nw := w.nets[j]
 	if nw == nil {
 		nw = f.proto.Clone()
@@ -237,5 +235,8 @@ func (w *frontierWorker) solve(f *frontierCtx, j int, mask uint64) bool {
 	w.stats.FrontierMaxFlowCalls += nw.Stats.MaxFlowCalls - before
 	w.cur[j] = mask
 	w.val[j] = value
-	return value >= f.d
+	if value >= f.d {
+		return true, 0
+	}
+	return false, nw.CutCrossing(f.src, f.handles)
 }

@@ -276,21 +276,48 @@ func popcount(x uint64) int {
 	return c
 }
 
-func newKScratch1(p *Plan) *kscratch1 {
-	n := p.ds.Len()
-	sc := &kscratch1{
-		probs: [2][]float64{
-			make([]float64, uint64(1)<<uint(p.SideEdges[0])),
-			make([]float64, uint64(1)<<uint(p.SideEdges[1])),
-		},
-		pCut: make([]float64, len(p.Cut)),
-	}
+// kshape is the slice lengths of a one-lane kernel scratch. Plans of one
+// shape share a process-wide pool of scratches (kpools), so a fresh plan's
+// first Eval reuses a scratch another plan returned instead of
+// allocating one as large as its side arrays. The kernel guards bound
+// every length, so the set of shapes is finite.
+type kshape struct {
+	probs, q, px [2]int
+	cut          int
+}
+
+// kpools maps each kshape to its *sync.Pool of *kscratch1. The map lives
+// as long as the process, so no pool's New may capture a *Plan: the
+// first plan of each shape would stay reachable forever.
+var kpools sync.Map
+
+// kpool1For returns the shared one-lane scratch pool for the plan's
+// shape, creating it on first use.
+func kpool1For(p *Plan) *sync.Pool {
+	sh := kshape{cut: len(p.Cut)}
 	for side := 0; side < 2; side++ {
+		sh.probs[side] = 1 << uint(p.SideEdges[side])
 		if p.accum == AccumDirect {
-			sc.q[side] = make([]float64, len(p.kern.segRM[side]))
-			sc.px[side] = make([]float64, len(p.kern.xs))
+			sh.q[side] = len(p.kern.segRM[side])
+			sh.px[side] = len(p.kern.xs)
 		} else {
-			sc.q[side] = make([]float64, uint64(1)<<uint(n))
+			sh.q[side] = 1 << uint(p.ds.Len())
+		}
+	}
+	if pool, ok := kpools.Load(sh); ok {
+		return pool.(*sync.Pool)
+	}
+	pool, _ := kpools.LoadOrStore(sh, &sync.Pool{New: func() any { return newKScratch1(sh) }})
+	return pool.(*sync.Pool)
+}
+
+func newKScratch1(sh kshape) *kscratch1 {
+	sc := &kscratch1{pCut: make([]float64, sh.cut)}
+	for side := 0; side < 2; side++ {
+		sc.probs[side] = make([]float64, sh.probs[side])
+		sc.q[side] = make([]float64, sh.q[side])
+		if sh.px[side] > 0 {
+			sc.px[side] = make([]float64, sh.px[side])
 		}
 	}
 	return sc

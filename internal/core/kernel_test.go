@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // TestKernelMatchesScalarCorpus: on ≥ 50 random planted-bottleneck
@@ -223,6 +224,98 @@ func TestEvalBatchSharedPlanConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestSharedScratchAcrossPlans: plans of one shape draw their one-lane
+// scratch from one process-wide pool. Two such plans evaluated from many
+// goroutines at once must still give each caller the sequential answers,
+// and the pool must not keep a plan alive once its caller drops it.
+func TestSharedScratchAcrossPlans(t *testing.T) {
+	g, dem, cut := twoBottleneck()
+	var plans [2]*Plan
+	for i := range plans {
+		p, err := Compile(g, dem, Options{Bottleneck: cut})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans[i] = p
+	}
+	if plans[0].kpool1 == nil || plans[0].kpool1 != plans[1].kpool1 {
+		t.Fatal("two plans of one shape do not share a scratch pool")
+	}
+	rng := rand.New(rand.NewSource(41))
+	scenarios := make([][]float64, 16)
+	want := make([][2]float64, len(scenarios))
+	for i := range scenarios {
+		pf := plans[0].BasePFail()
+		for j := range pf {
+			pf[j] = rng.Float64() * 0.9
+		}
+		scenarios[i] = pf
+		for k, p := range plans {
+			r, err := p.Eval(pf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i][k] = r
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for w := range errs {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for iter := 0; iter < 20; iter++ {
+				i := (w + iter) % len(scenarios)
+				k := (w + iter) % 2
+				got, err := plans[k].Eval(scenarios[i])
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				if math.Float64bits(got) != math.Float64bits(want[i][k]) {
+					errs[w] = fmt.Errorf("worker %d: plan %d scenario %d: %.17g != %.17g", w, k, i, got, want[i][k])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Start from an empty pool table so the dropped plan is the first of
+	// its shape: the one a capturing New would pin.
+	kpools.Range(func(k, _ any) bool {
+		kpools.Delete(k)
+		return true
+	})
+	released := make(chan struct{})
+	func() {
+		p, err := Compile(g, dem, Options{Bottleneck: cut})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Eval(nil); err != nil {
+			t.Fatal(err)
+		}
+		// A Plan's own pools reference it, so the finalizer watches its
+		// kernel: reachable exactly as long as the plan is.
+		runtime.SetFinalizer(p.kern, func(*evalKernel) { close(released) })
+	}()
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-released:
+			return
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
+	t.Fatal("a dropped plan stays reachable: the shared scratch pool pins it")
 }
 
 // TestEvalBatchIntoQuick: property check that EvalBatchInto agrees bit

@@ -11,7 +11,6 @@ import (
 	"flowrel/internal/assign"
 	"flowrel/internal/conf"
 	"flowrel/internal/graph"
-	"flowrel/internal/maxflow"
 	"flowrel/internal/mincut"
 	"flowrel/internal/stats"
 	"flowrel/internal/subset"
@@ -57,11 +56,12 @@ type Plan struct {
 	// kern is the data-oriented evaluate phase (kernel.go): term tables
 	// and segment groupings flattened at compile time. nil when the
 	// instance is outside the kernel guards; evaluation then uses the
-	// scalar path. kpool1/kpool8 pool the one-lane and eight-lane
-	// kernel scratches.
+	// scalar path. kpool1 is the process-wide pool of one-lane kernel
+	// scratches for this plan's shape; kpool8 pools the plan's own
+	// eight-lane scratches.
 	kern   *evalKernel
-	kpool1 sync.Pool // *kscratch1
-	kpool8 sync.Pool // *kscratch8
+	kpool1 *sync.Pool // *kscratch1
+	kpool8 sync.Pool  // *kscratch8
 	// blockHook, when non-nil, runs once per work item inside the batch
 	// worker loops — a test seam for asserting bounded concurrency.
 	blockHook func()
@@ -214,7 +214,7 @@ func (p *Plan) installEvalPhase(k *evalKernel) {
 		p.Stats.KernelTerms = int64(len(k.termX))
 		p.Stats.KernelSegments = int64(len(k.segRM[0]) + len(k.segRM[1]))
 		p.Stats.KernelLanes = int64(k.lanes)
-		p.kpool1.New = func() any { return newKScratch1(p) }
+		p.kpool1 = kpool1For(p)
 		p.kpool8.New = func() any { return newKScratch8(p) }
 	}
 }
@@ -486,12 +486,8 @@ func mutateCompile(parent *Plan, gOld, g *graph.Graph, dem graph.Demand, mut gra
 			f.opt = &opt
 			w.stats = Stats{}
 		} else {
-			f = newDeltaSide(sub, terminal, ends, toSink, ds, &opt)
-			w = &frontierWorker{
-				nets: make([]*maxflow.Network, ds.Len()),
-				cur:  make([]uint64, ds.Len()),
-				val:  make([]int, ds.Len()),
-			}
+			f = newFrontierCtx(sub, terminal, ends, toSink, ds, &opt)
+			w = newFrontierWorker(ds.Len())
 			st = &deltaSideState{f: f, w: w}
 		}
 		netBase := snapshotNets(w)

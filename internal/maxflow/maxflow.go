@@ -180,15 +180,20 @@ func (nw *Network) Clone() *Network {
 
 const inf = math.MaxInt32
 
-// bfsLevel builds the level graph; returns false if t unreachable.
-func (nw *Network) bfsLevel(s, t int32) bool {
-	nw.Stats.BFSRuns++
+// growScratch sizes the Dinic/BFS scratch for the current node count.
+func (nw *Network) growScratch() {
 	if cap(nw.level) < nw.n {
 		nw.level = make([]int32, nw.n)
 		nw.iter = make([]int32, nw.n)
 		nw.queue = make([]int32, 0, nw.n)
 	}
 	nw.level = nw.level[:nw.n]
+}
+
+// bfsLevel builds the level graph; returns false if t unreachable.
+func (nw *Network) bfsLevel(s, t int32) bool {
+	nw.Stats.BFSRuns++
+	nw.growScratch()
 	for i := range nw.level {
 		nw.level[i] = -1
 	}
@@ -340,21 +345,58 @@ func (nw *Network) MaxFlowEK(s, t int32, limit int) int {
 // residual graph; after an (un-limited) max flow this is the source side of
 // a minimum cut.
 func (nw *Network) ResidualReachable(s int32) []bool {
+	nw.markReachable(s)
 	seen := make([]bool, nw.n)
-	seen[s] = true
-	nw.queue = nw.queue[:0]
-	nw.queue = append(nw.queue, s)
+	for v, l := range nw.level {
+		seen[v] = l >= 0
+	}
+	return seen
+}
+
+// markReachable runs a residual BFS from s on the Dinic scratch: on
+// return level[v] >= 0 exactly when v is reachable from s.
+func (nw *Network) markReachable(s int32) {
+	nw.growScratch()
+	for i := range nw.level {
+		nw.level[i] = -1
+	}
+	nw.level[s] = 0
+	nw.queue = append(nw.queue[:0], s)
 	for qi := 0; qi < len(nw.queue); qi++ {
 		u := nw.queue[qi]
 		for _, ai := range nw.adj[u] {
 			a := nw.arcs[ai]
-			if a.cap > 0 && !seen[a.to] {
-				seen[a.to] = true
+			if a.cap > 0 && nw.level[a.to] < 0 {
+				nw.level[a.to] = 0
 				nw.queue = append(nw.queue, a.to)
 			}
 		}
 	}
-	return seen
+}
+
+// CutCrossing reports, as bit i for handles[i], the edges that cross the
+// residual cut from the source side (nodes reachable from s) to the sink
+// side; an arc direction counts only when its base capacity is nonzero,
+// and disabled edges count too. Called right after an Augment that
+// stopped short of its limit, the current flow is maximum, so the cut is
+// a minimum cut: its live crossing arcs are saturated, and their base
+// capacities, plus those of crossing arcs outside handles, sum to the
+// flow value. A configuration that switches on no disabled edge whose
+// bit is set therefore keeps the cut's capacity at or below that value,
+// and can carry no more flow. It does not allocate once the network has
+// solved a flow.
+func (nw *Network) CutCrossing(s int32, handles []Handle) uint64 {
+	nw.markReachable(s)
+	var out uint64
+	for i, h := range handles {
+		u, v := nw.arcs[h^1].to, nw.arcs[h].to
+		fwd := nw.base[h] > 0 && nw.level[u] >= 0 && nw.level[v] < 0
+		rev := nw.base[h^1] > 0 && nw.level[v] >= 0 && nw.level[u] < 0
+		if fwd || rev {
+			out |= uint64(1) << uint(i)
+		}
+	}
+	return out
 }
 
 // DisableIncremental switches the edge off while preserving a feasible flow:

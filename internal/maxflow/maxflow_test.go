@@ -517,3 +517,93 @@ func TestRetargetIncrementalEdgeCases(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Property: the crossing set CutCrossing reports after a failed solve is
+// a certificate of infeasibility — every configuration that enables none
+// of the reported links outside the solved configuration also falls short
+// of the limit (checked by brute force over all configurations). The
+// network mixes directed and undirected links plus fixed arcs outside the
+// handle set, and solves warm through RetargetIncremental the way the
+// side walks do.
+func TestQuickCutCrossingCertifiesInfeasibility(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(6)
+		m := 1 + rng.Intn(9)
+		nw := New(n)
+		hs := make([]Handle, m)
+		for i := range hs {
+			u := int32(rng.Intn(n))
+			v := int32(rng.Intn(n))
+			for v == u {
+				v = int32(rng.Intn(n))
+			}
+			if rng.Intn(2) == 0 {
+				hs[i] = nw.AddDirected(u, v, rng.Intn(4))
+			} else {
+				hs[i] = nw.AddUndirected(u, v, rng.Intn(4))
+			}
+		}
+		s, tt := int32(0), int32(n-1)
+		if n > 2 && rng.Intn(2) == 0 {
+			nw.AddDirected(int32(1+rng.Intn(n-2)), tt, 1+rng.Intn(3))
+		}
+		d := 1 + rng.Intn(5)
+		ref := nw.Clone()
+		solve := func(c uint64) int {
+			for i, h := range hs {
+				ref.SetEnabled(h, c&(1<<uint(i)) != 0)
+			}
+			return ref.MaxFlow(s, tt, d)
+		}
+		for _, h := range hs {
+			nw.SetEnabled(h, false)
+		}
+		nw.ResetFlow()
+		cur, value := uint64(0), 0
+		all := uint64(1)<<uint(m) - 1
+		for step := 0; step < 12; step++ {
+			mask := rng.Uint64() & all
+			value = nw.RetargetIncremental(hs, cur, mask, s, tt, value)
+			cur = mask
+			if value < d {
+				value += nw.Augment(s, tt, d-value)
+			}
+			if value >= d {
+				continue
+			}
+			a := nw.CutCrossing(s, hs) &^ mask
+			for c := uint64(0); c <= all; c++ {
+				if c&a == 0 && solve(c) >= d {
+					t.Logf("seed %d: mask %#x fails (flow %d < %d) with certificate %#x, but %#x carries %d",
+						seed, mask, value, d, a, c, d)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// CutCrossing runs on the network's own scratch: after the first solve it
+// must not allocate.
+func TestCutCrossingZeroAllocs(t *testing.T) {
+	nw, hs := buildDiamond()
+	nw.SetEnabled(hs[2], false)
+	nw.ResetFlow()
+	if got := nw.Augment(0, 3, 3); got != 1 {
+		t.Fatalf("flow = %d, want 1", got)
+	}
+	allocs := testing.AllocsPerRun(100, func() { nw.CutCrossing(0, hs) })
+	if allocs != 0 {
+		t.Fatalf("CutCrossing allocates %.1f times per call", allocs)
+	}
+	// The diamond with a–t down: the source side is {s, a, b}; b–t and
+	// the dead a–t link cross it.
+	if got, want := nw.CutCrossing(0, hs), uint64(1)<<2|uint64(1)<<3; got != want {
+		t.Fatalf("crossing = %#b, want %#b", got, want)
+	}
+}

@@ -38,22 +38,3 @@ func BenchmarkInclusionExclusion(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkOrZeta(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	for _, n := range []int{10, 16, 20} {
-		src := make([]uint64, 1<<uint(n))
-		for i := range src {
-			if rng.Intn(4) == 0 {
-				src[i] = rng.Uint64()
-			}
-		}
-		buf := make([]uint64, len(src))
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				copy(buf, src)
-				OrZeta(buf, n)
-			}
-		})
-	}
-}

@@ -93,53 +93,6 @@ func Submasks(u uint64, visit func(x uint64)) {
 	}
 }
 
-// OrZeta transforms f (indexed by masks over n elements, each entry one
-// uint64 word of up to 64 parallel indicator bits) in place so that on
-// return f[X] = OR_{Y ⊆ X} f_in[Y] — the upward closure of all 64
-// indicator sets in a single O(n·2^n) pass. It is the bitwise sibling of
-// SupersetZeta: a realization engine that stores "assignment j holds under
-// configuration X" as bit j of f[X] closes every assignment's monotone
-// feasibility set at once.
-func OrZeta(f []uint64, n int) {
-	if len(f) != 1<<uint(n) {
-		panic("subset: slice length must be 2^n")
-	}
-	for i := 0; i < n; i++ {
-		bit := 1 << uint(i)
-		for m := 0; m < len(f); m++ {
-			if m&bit != 0 {
-				f[m] |= f[m&^bit]
-			}
-		}
-	}
-}
-
-// OrZetaLayer propagates one popcount layer of the upward closure: for
-// `count` masks starting at `first` (all of first's popcount, walked in
-// increasing numeric order), it ORs the word of every immediate submask
-// into f[mask]. When the layers below first's are already upward-closed,
-// the visited entries become f[X] = OR_{Y ⊂ X} f_in[Y] restricted to
-// strict submasks — exactly the closure a popcount-ascending frontier
-// needs before deciding layer |first| itself. O(count·|first|).
-func OrZetaLayer(f []uint64, first uint64, count uint64) {
-	mask := first
-	for i := uint64(0); i < count; i++ {
-		if i > 0 {
-			// Gosper's hack: next mask of the same popcount. Inline so
-			// the walk stays self-contained (and safe for mask 0, which
-			// never takes this branch: layer 0 has a single mask).
-			c := mask & (^mask + 1)
-			r := mask + c
-			mask = (((mask ^ r) >> 2) / c) | r
-		}
-		w := f[mask]
-		for rem := mask; rem != 0; rem &= rem - 1 {
-			w |= f[mask^(rem&(^rem+1))]
-		}
-		f[mask] = w
-	}
-}
-
 // Block is a fixed-width lane group for the transposed (structure-of-
 // arrays) kernels: one lattice entry holding the same coordinate of
 // several independent probability scenarios. The two widths are the

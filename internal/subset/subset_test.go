@@ -231,89 +231,6 @@ func TestQuickIEFromZeta(t *testing.T) {
 	}
 }
 
-func naiveOrZeta(f []uint64) []uint64 {
-	out := make([]uint64, len(f))
-	for x := range out {
-		for y := range f {
-			if y&x == y { // y ⊆ x
-				out[x] |= f[y]
-			}
-		}
-	}
-	return out
-}
-
-func randWords(rng *rand.Rand, n int) []uint64 {
-	f := make([]uint64, 1<<uint(n))
-	for i := range f {
-		// Sparse words: most lattice points realize nothing, as in the
-		// realization arrays this transform closes.
-		if rng.Intn(4) == 0 {
-			f[i] = rng.Uint64() & rng.Uint64() & rng.Uint64()
-		}
-	}
-	return f
-}
-
-func TestOrZetaMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for n := 0; n <= 8; n++ {
-		f := randWords(rng, n)
-		want := naiveOrZeta(f)
-		got := append([]uint64(nil), f...)
-		OrZeta(got, n)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d mask %#x: OrZeta %#x, naive %#x", n, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestOrZetaLayerComposesToOrZeta drives OrZetaLayer the way the frontier
-// engine does — every popcount layer in ascending order, each layer split
-// into arbitrary rank ranges — and checks the result is the full upward
-// closure: immediate-submask propagation composes transitively once the
-// layers below are closed.
-func TestOrZetaLayerComposesToOrZeta(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for n := 0; n <= 8; n++ {
-		f := randWords(rng, n)
-		want := append([]uint64(nil), f...)
-		OrZeta(want, n)
-		got := append([]uint64(nil), f...)
-		for layer := 0; layer <= n; layer++ {
-			// Masks of one layer in increasing numeric order, chunked at a
-			// random grain to mimic SplitLayer.
-			var masks []uint64
-			for m := uint64(0); m < uint64(len(got)); m++ {
-				if bits.OnesCount64(m) == layer {
-					masks = append(masks, m)
-				}
-			}
-			for lo := 0; lo < len(masks); {
-				count := 1 + rng.Intn(len(masks)-lo)
-				OrZetaLayer(got, masks[lo], uint64(count))
-				lo += count
-			}
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d mask %#x: layered %#x, full %#x", n, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestOrZetaPanicsOnBadLength(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	OrZeta(make([]uint64, 3), 2)
-}
-
 // TestSupersetZetaBlockLaneIdentity: each lane of the block transform
 // must be bit-identical to running the scalar transform on that lane
 // alone — the contract the transposed evaluate kernels build on.

@@ -173,10 +173,14 @@ func (s *planShard) acquire(key string) (p *core.Plan, hit bool, fl *inflightCom
 	return nil, false, fl, true
 }
 
-func (s *planShard) put(key string, p *core.Plan) {
+// publish ends the in-flight compile for key and, when it succeeded,
+// caches its plan — under one lock, so no lookup can land between the two
+// and start a second compile of the same structure.
+func (s *planShard) publish(key string, p *core.Plan, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.capacity <= 0 {
+	delete(s.inflight, key)
+	if err != nil || s.capacity <= 0 {
 		return
 	}
 	if el, ok := s.byKey[key]; ok {
@@ -373,14 +377,11 @@ func planFor(ctl *anytime.Ctl, g *Graph, dem Demand, cfg Config) (*core.Plan, bo
 			Ctl:              ctl,
 		})
 		fl.plan, fl.err = p, err
-		shard.mu.Lock()
-		delete(shard.inflight, key)
-		shard.mu.Unlock()
+		shard.publish(key, p, err)
 		close(fl.done)
 		if err != nil {
 			return nil, false, err
 		}
-		shard.put(key, p)
 		return p, false, nil
 	}
 }
@@ -436,14 +437,11 @@ func planForMutate(ctl *anytime.Ctl, parent *core.Plan, gOld, g *Graph, dem Dema
 			Ctl:              ctl,
 		})
 		fl.plan, fl.err = p, err
-		shard.mu.Lock()
-		delete(shard.inflight, key)
-		shard.mu.Unlock()
+		shard.publish(key, p, err)
 		close(fl.done)
 		if err != nil {
 			return nil, false, err
 		}
-		shard.put(key, p)
 		return p, false, nil
 	}
 }
