@@ -13,8 +13,6 @@
 //	BenchmarkRiskGroups         — E15: shared-risk conditioning
 //	BenchmarkImportance         — E16: Birnbaum ranking
 //	BenchmarkContinuousSim      — E17: event-driven renewal simulation
-//	BenchmarkAccumulation       — A1: direct subset scan vs zeta transform
-//	BenchmarkSideArrays         — A2: recompute vs Gray-code construction
 //	BenchmarkEngines            — A3: all exact engines on one instance
 //	BenchmarkMonteCarlo         — A4: sampling throughput
 //	BenchmarkReduce             — A5: exact preprocessing
@@ -142,101 +140,6 @@ func BenchmarkFigure4(b *testing.B) {
 	}
 }
 
-// accumulationInstance builds a fixed two-cluster graph with three
-// capacity-capE bottleneck links (Example 1's parameters give |𝒟| = 12 at
-// d=5, capE=3) and 10 links per side, so the accumulation stage carries
-// real weight.
-func accumulationInstance(d, capE int) (*Graph, Demand, []EdgeID) {
-	b := NewBuilder()
-	s := b.AddNamedNode("s")
-	a := b.AddNode()
-	c := b.AddNode()
-	var x, y [3]NodeID
-	for i := range x {
-		x[i] = b.AddNode()
-	}
-	for i := range y {
-		y[i] = b.AddNode()
-	}
-	e := b.AddNode()
-	f := b.AddNode()
-	t := b.AddNamedNode("t")
-	big := d + capE
-	const p = 0.1
-	b.AddEdge(s, a, big, p)
-	b.AddEdge(s, c, big, p)
-	b.AddEdge(s, x[0], capE, p)
-	b.AddEdge(a, x[0], capE, p)
-	b.AddEdge(a, x[1], capE, p)
-	b.AddEdge(c, x[1], capE, p)
-	b.AddEdge(c, x[2], capE, p)
-	b.AddEdge(s, x[2], capE, p)
-	b.AddEdge(a, c, capE, p)
-	b.AddEdge(c, x[0], capE, p)
-	var cut []EdgeID
-	for i := range x {
-		cut = append(cut, b.AddEdge(x[i], y[i], capE, 0.05))
-	}
-	b.AddEdge(y[0], e, capE, p)
-	b.AddEdge(y[0], t, capE, p)
-	b.AddEdge(y[1], e, capE, p)
-	b.AddEdge(y[1], f, capE, p)
-	b.AddEdge(y[2], f, capE, p)
-	b.AddEdge(y[2], t, capE, p)
-	b.AddEdge(e, t, big, p)
-	b.AddEdge(f, t, big, p)
-	b.AddEdge(e, f, capE, p)
-	b.AddEdge(y[0], f, capE, p)
-	g, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	return g, Demand{S: s, T: t, D: d}, cut
-}
-
-// BenchmarkAccumulation is ablation A1: the paper-literal subset scan
-// (Θ(2^{|𝒟|}·2^{|E_side|})) vs the zeta-transform aggregation
-// (Θ(|𝒟|·2^{|𝒟|} + 2^{|E_side|})), at |𝒟| = 12 and |𝒟| = 18.
-func BenchmarkAccumulation(b *testing.B) {
-	for _, dc := range [][2]int{{5, 3}, {7, 4}} {
-		g, dem, cut := accumulationInstance(dc[0], dc[1])
-		for _, acc := range []struct {
-			name string
-			a    core.Accumulation
-		}{{"direct", core.AccumDirect}, {"zeta", core.AccumZeta}} {
-			b.Run(fmt.Sprintf("%s/d=%d", acc.name, dc[0]), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := core.Reliability(g, dem, core.Options{
-						Bottleneck: cut, Accum: acc.a, MaxAssignmentSet: 62,
-					}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkSideArrays is ablation A2: per-configuration recompute vs
-// Gray-code incremental maintenance vs the monotone frontier walk.
-func BenchmarkSideArrays(b *testing.B) {
-	g, dem, cut := clusteredInstanceB(b, 9)
-	for _, side := range []struct {
-		name string
-		s    core.SideEngine
-	}{{"binary", core.SideBinary}, {"graycode", core.SideGrayCode}, {"frontier", core.SideFrontier}} {
-		b.Run(side.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Reliability(g, dem, core.Options{
-					Bottleneck: cut, Side: side.s,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkSideBuild isolates the side-array construction cost on the A3
 // instance: one core compile per op (no plan cache, no evaluation weight
 // to speak of), with the default frontier engine. Tracked by the bench
@@ -252,15 +155,6 @@ func BenchmarkSideBuild(b *testing.B) {
 	})
 }
 
-func clusteredInstanceB(b *testing.B, side int) (*Graph, Demand, []EdgeID) {
-	b.Helper()
-	o, err := overlay.Clustered(side, side+4, 2, 2, 2, 0.1, int64(side))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return o.G, o.Demand(o.Peers[len(o.Peers)-1]), o.Bottleneck
-}
-
 // BenchmarkEngines is ablation A3: every exact engine on one 20-link
 // instance.
 func BenchmarkEngines(b *testing.B) {
@@ -268,13 +162,6 @@ func BenchmarkEngines(b *testing.B) {
 	b.Run("naive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := reliability.Naive(g, dem, reliability.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("naive-gray", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := reliability.Naive(g, dem, reliability.Options{GrayCode: true}); err != nil {
 				b.Fatal(err)
 			}
 		}

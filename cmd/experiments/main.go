@@ -6,7 +6,7 @@
 //
 //	experiments            # run everything
 //	experiments -run E7    # one experiment
-//	experiments -run E1,E2,A1
+//	experiments -run E1,E2,A3
 package main
 
 import (
@@ -37,7 +37,7 @@ import (
 )
 
 var (
-	runFlag     = flag.String("run", "all", "comma-separated experiment ids (E1..E17, A1..A8) or 'all'")
+	runFlag     = flag.String("run", "all", "comma-separated experiment ids (E1..E17, A3..A8) or 'all'")
 	timeoutFlag = flag.Duration("timeout", 0, "soft deadline for the whole run; experiments past it are skipped with a note")
 	cfgsFlag    = flag.Uint64("max-configs", 0, "extra budget row for the A7 anytime ablation")
 )
@@ -68,8 +68,6 @@ func main() {
 		{"E15", "Extension — shared-risk groups on the bottleneck links", e15},
 		{"E16", "Extension — Birnbaum importance finds the bottleneck links", e16},
 		{"E17", "Extension — renewal dynamics: availability vs static reliability", e17},
-		{"A1", "Ablation — accumulation: direct subset scan vs zeta transform", a1},
-		{"A2", "Ablation — side arrays: binary recompute vs Gray-code vs monotone frontier", a2},
 		{"A3", "Ablation — exact engines compared", a3},
 		{"A4", "Ablation — Monte Carlo convergence", a4},
 		{"A5", "Ablation — exact reductions as preprocessing", a5},
@@ -602,130 +600,6 @@ func e17() {
 	fmt.Println(" outage rate and duration are information the static number cannot give)")
 }
 
-// a1 times the two accumulation strategies at growing |D|. The direct
-// scan costs Θ(2^{|D|}·2^{|E_side|}) while the zeta aggregation costs
-// Θ(|D|·2^{|D|} + 2^{|E_side|}); the gap opens as |D| grows.
-func a1() {
-	fmt.Printf("%-6s %-6s %-6s %-12s %-12s %-10s\n", "d", "capE", "|D|", "t_direct", "t_zeta", "speedup")
-	for _, row := range [][2]int{{2, 2}, {5, 3}, {6, 3}, {7, 4}} {
-		d, capE := row[0], row[1]
-		g, dem, cut := a1Instance(d, capE)
-		t0 := time.Now()
-		direct, err := core.Reliability(g, dem, core.Options{Bottleneck: cut, Accum: core.AccumDirect, MaxAssignmentSet: 62})
-		if err != nil {
-			fmt.Println("  direct failed:", err)
-			continue
-		}
-		tD := time.Since(t0)
-		t1 := time.Now()
-		zeta, err := core.Reliability(g, dem, core.Options{Bottleneck: cut, Accum: core.AccumZeta, MaxAssignmentSet: 62})
-		if err != nil {
-			fmt.Println("  zeta failed:", err)
-			continue
-		}
-		tZ := time.Since(t1)
-		if abs(direct.Reliability-zeta.Reliability) > 1e-9 {
-			fmt.Printf("MISMATCH d=%d: %.12f vs %.12f\n", d, direct.Reliability, zeta.Reliability)
-			continue
-		}
-		fmt.Printf("%-6d %-6d %-6d %-12s %-12s %.2fx\n",
-			d, capE, len(direct.Assignments), tD.Round(time.Microsecond), tZ.Round(time.Microsecond),
-			float64(tD)/float64(tZ))
-	}
-}
-
-// a1Instance builds a fixed two-cluster graph with three bottleneck links
-// of capacity capE each (so |D| is the number of compositions of d into
-// three parts ≤ capE) and 10 generously sized links per side.
-func a1Instance(d, capE int) (*graph.Graph, graph.Demand, []graph.EdgeID) {
-	b := graph.NewBuilder()
-	s := b.AddNamedNode("s")
-	a := b.AddNode()
-	c := b.AddNode()
-	x := make([]graph.NodeID, 3)
-	y := make([]graph.NodeID, 3)
-	for i := range x {
-		x[i] = b.AddNode()
-	}
-	for i := range y {
-		y[i] = b.AddNode()
-	}
-	e := b.AddNode()
-	f := b.AddNode()
-	t := b.AddNamedNode("t")
-	big := d + capE
-	p := 0.1
-	// Source side (10 links).
-	b.AddEdge(s, a, big, p)
-	b.AddEdge(s, c, big, p)
-	b.AddEdge(s, x[0], capE, p)
-	b.AddEdge(a, x[0], capE, p)
-	b.AddEdge(a, x[1], capE, p)
-	b.AddEdge(c, x[1], capE, p)
-	b.AddEdge(c, x[2], capE, p)
-	b.AddEdge(s, x[2], capE, p)
-	b.AddEdge(a, c, capE, p)
-	b.AddEdge(c, x[0], capE, p)
-	// Bottleneck links.
-	cut := make([]graph.EdgeID, 3)
-	for i := range cut {
-		cut[i] = b.AddEdge(x[i], y[i], capE, 0.05)
-	}
-	// Sink side (10 links), mirrored.
-	b.AddEdge(y[0], e, capE, p)
-	b.AddEdge(y[0], t, capE, p)
-	b.AddEdge(y[1], e, capE, p)
-	b.AddEdge(y[1], f, capE, p)
-	b.AddEdge(y[2], f, capE, p)
-	b.AddEdge(y[2], t, capE, p)
-	b.AddEdge(e, t, big, p)
-	b.AddEdge(f, t, big, p)
-	b.AddEdge(e, f, capE, p)
-	b.AddEdge(y[0], f, capE, p)
-	return b.MustBuild(), graph.Demand{S: s, T: t, D: d}, cut
-}
-
-// a2 times the three side-array engines.
-func a2() {
-	fmt.Printf("%-6s %-14s %-14s %-14s %-16s %-16s\n",
-		"|E|", "t_binary", "t_graycode", "t_frontier", "units_binary", "pruned_frontier")
-	for _, side := range []int{6, 8, 10} {
-		o, err := overlay.Clustered(side, side+4, 2, 2, 2, 0.1, int64(side))
-		if err != nil {
-			continue
-		}
-		dem := o.Demand(o.Peers[len(o.Peers)-1])
-		t0 := time.Now()
-		rc, err := core.Reliability(o.G, dem, core.Options{Bottleneck: o.Bottleneck, Side: core.SideBinary})
-		if err != nil {
-			continue
-		}
-		tR := time.Since(t0)
-		t1 := time.Now()
-		gc, err := core.Reliability(o.G, dem, core.Options{Bottleneck: o.Bottleneck, Side: core.SideGrayCode})
-		if err != nil {
-			continue
-		}
-		tG := time.Since(t1)
-		t2 := time.Now()
-		fr, err := core.Reliability(o.G, dem, core.Options{Bottleneck: o.Bottleneck, Side: core.SideFrontier})
-		if err != nil {
-			continue
-		}
-		tF := time.Since(t2)
-		if abs(rc.Reliability-gc.Reliability) > 1e-9 || abs(rc.Reliability-fr.Reliability) > 1e-9 {
-			fmt.Printf("MISMATCH |E|=%d\n", o.G.NumEdges())
-			continue
-		}
-		fmt.Printf("%-6d %-14s %-14s %-14s %-16d %-16d\n",
-			o.G.NumEdges(), tR.Round(time.Microsecond), tG.Round(time.Microsecond),
-			tF.Round(time.Microsecond), rc.Stats.AugmentUnits,
-			fr.Stats.PrunedCapacity+fr.Stats.PrunedClosure)
-	}
-	fmt.Println("(Gray code repairs instead of recomputing; the frontier skips most")
-	fmt.Println(" max-flow calls outright via superset closure, the capacity bound and cut certificates)")
-}
-
 // a3 compares all exact engines on one instance.
 func a3() {
 	o := must(overlay.Clustered(7, 11, 2, 2, 2, 0.1, 5))
@@ -742,9 +616,6 @@ func a3() {
 	t0 := time.Now()
 	nv := must(reliability.Naive(o.G, dem, reliability.Options{}))
 	rows = append(rows, row{"naive", nv.Reliability, time.Since(t0), nv.Stats.Configs})
-	t0 = time.Now()
-	ng := must(reliability.Naive(o.G, dem, reliability.Options{GrayCode: true}))
-	rows = append(rows, row{"naive-gray", ng.Reliability, time.Since(t0), ng.Stats.Configs})
 	t0 = time.Now()
 	fc := must(reliability.Factoring(o.G, dem, reliability.Options{}))
 	rows = append(rows, row{"factoring", fc.Reliability, time.Since(t0), fc.Stats.Configs})

@@ -44,7 +44,7 @@ func main() {
 func run(args []string, stdin io.Reader, stdout io.Writer) (retErr error) {
 	fs := flag.NewFlagSet("relcalc", flag.ContinueOnError)
 	var (
-		engineFlag  = fs.String("engine", "auto", "engine: auto, core, chain, naive, naive-gray, factoring, exact, montecarlo")
+		engineFlag  = fs.String("engine", "auto", "engine: auto, core, chain, naive, factoring, exact, montecarlo")
 		sFlag       = fs.String("s", "", "override demand source node")
 		tFlag       = fs.String("t", "", "override demand sink node")
 		dFlag       = fs.Int("d", 0, "override demand bit-rate (number of sub-streams)")
@@ -238,8 +238,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (retErr error) {
 			eng = flowrel.EngineCore
 		case "naive":
 			eng = flowrel.EngineNaive
-		case "naive-gray":
-			eng = flowrel.EngineNaiveGray
 		case "factoring":
 			eng = flowrel.EngineFactoring
 		default:

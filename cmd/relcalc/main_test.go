@@ -36,7 +36,7 @@ func runCLI(t *testing.T, args []string, stdin string) (string, error) {
 
 func TestEnginesProduceSameValue(t *testing.T) {
 	want := "reliability = 0.882648049500"
-	for _, eng := range []string{"auto", "core", "naive", "naive-gray", "factoring"} {
+	for _, eng := range []string{"auto", "core", "naive", "factoring"} {
 		out, err := runCLI(t, []string{"-engine", eng}, figure2Text)
 		if err != nil {
 			t.Fatalf("%s: %v", eng, err)

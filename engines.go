@@ -33,9 +33,6 @@ const (
 	// EngineNaive enumerates all 2^{|E|} failure configurations (the
 	// paper's baseline, Fig. 1).
 	EngineNaive
-	// EngineNaiveGray is EngineNaive walking the configurations in
-	// Gray-code order with incremental max-flow maintenance.
-	EngineNaiveGray
 	// EngineFactoring conditions on one link at a time with two-sided
 	// max-flow pruning (the classical exact method).
 	EngineFactoring
@@ -54,8 +51,6 @@ func (e Engine) String() string {
 		return "core"
 	case EngineNaive:
 		return "naive"
-	case EngineNaiveGray:
-		return "naive-gray"
 	case EngineFactoring:
 		return "factoring"
 	case EngineChain:
@@ -261,10 +256,9 @@ func computeWith(g *Graph, dem Demand, cfg Config, ctl *anytime.Ctl) (Report, er
 		return computeCore(g, dem, cfg, ctl)
 	case EngineChain:
 		return computeChain(g, dem, cfg, ctl)
-	case EngineNaive, EngineNaiveGray:
+	case EngineNaive:
 		res, err := reliability.Naive(g, dem, reliability.Options{
 			Parallelism: cfg.Parallelism,
-			GrayCode:    cfg.Engine == EngineNaiveGray,
 			Ctl:         ctl,
 		})
 		if err != nil {

@@ -20,7 +20,7 @@ func TestAllEnginesAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := exact.Float64()
-	for _, eng := range []Engine{EngineAuto, EngineCore, EngineNaive, EngineNaiveGray, EngineFactoring} {
+	for _, eng := range []Engine{EngineAuto, EngineCore, EngineNaive, EngineFactoring} {
 		rep, err := Compute(g, dem, Config{Engine: eng})
 		if err != nil {
 			t.Fatalf("%v: %v", eng, err)
@@ -153,8 +153,8 @@ func TestComputeWithReduce(t *testing.T) {
 func TestEngineString(t *testing.T) {
 	names := map[Engine]string{
 		EngineAuto: "auto", EngineCore: "core", EngineNaive: "naive",
-		EngineNaiveGray: "naive-gray", EngineFactoring: "factoring",
-		EngineChain: "chain", Engine(42): "engine(42)",
+		EngineFactoring: "factoring", EngineChain: "chain",
+		Engine(42): "engine(42)",
 	}
 	for e, want := range names {
 		if e.String() != want {

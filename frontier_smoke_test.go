@@ -3,12 +3,12 @@ package flowrel
 import "testing"
 
 // TestFrontierPruningA3 is the CI bench-smoke assertion for the frontier
-// side engine on the A3 instance (overlay.Clustered side=6, 20 links,
-// d=2): the monotone pruning must actually bite. The engine has to pay
+// side walk on the A3 instance (overlay.Clustered side=6, 20 links,
+// d=2): the monotone pruning must actually bite. The walk has to pay
 // strictly fewer max-flow calls than the configurations it decides —
-// and solve at most 1% of the dense |𝒟|·2^m pair count the binary
-// engine would solve, which only the cut certificates reach — with both
-// pruning counters contributing.
+// and solve at most 1% of the dense |𝒟|·2^m pair count that solving
+// every pair would cost, which only the cut certificates reach — with
+// both pruning counters contributing.
 func TestFrontierPruningA3(t *testing.T) {
 	g, dem, cut := clusteredInstance(t, 6)
 	ResetPlanCache()

@@ -1,8 +1,8 @@
 // Package floateq flags exact == / != comparisons between floating-point
 // expressions that carry reliability semantics. Every engine in this
 // module reports probabilities accumulated through long floating-point
-// sums in different orders (parallel reductions, Gray-code walks, zeta
-// transforms), so two mathematically equal reliabilities are only equal
+// sums in different orders (parallel reductions, zeta transforms,
+// subset scans), so two mathematically equal reliabilities are only equal
 // to within rounding — comparing them with == encodes a test that passes
 // by accident. Compare with an explicit tolerance (math.Abs(a-b) < tol,
 // or testutil.AlmostEqual) instead, or waive the finding with

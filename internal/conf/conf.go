@@ -1,14 +1,12 @@
 // Package conf handles failure configurations: subsets of links that are
 // simultaneously operational, their occurrence probabilities (Eq. 2 of the
-// paper), and iteration orders over the 2^m configuration space (plain
-// binary counting and Gray code, the latter enabling incremental max-flow
-// maintenance).
+// paper), binary-order iteration over the 2^m configuration space, and its
+// split into contiguous chunks for parallel enumeration.
 package conf
 
 import (
 	"fmt"
 	"math/big"
-	"math/bits"
 )
 
 // MaxEnumEdges is the widest link set the mask-based enumeration engines
@@ -61,8 +59,8 @@ func ProbRat(p []*big.Rat, mask Mask) *big.Rat {
 	return pr
 }
 
-// Table precomputes, for each link, the pair (p, 1-p) so that engines can
-// update a running product incrementally along a Gray-code walk.
+// Table precomputes, for each link, the pair (p, 1-p) that a
+// configuration's probability multiplies.
 type Table struct {
 	PFail []float64
 	PLive []float64
@@ -90,13 +88,6 @@ func (t *Table) Prob(mask Mask) float64 {
 	return pr
 }
 
-// GrayMask returns the i-th mask of the reflected binary Gray code.
-func GrayMask(i uint64) Mask { return i ^ (i >> 1) }
-
-// GrayFlip returns the index of the bit that changes between Gray mask i-1
-// and Gray mask i (i ≥ 1): the number of trailing zeros of i.
-func GrayFlip(i uint64) int { return bits.TrailingZeros64(i) }
-
 // Iter visits all 2^m configurations in plain binary order, calling
 // visit(mask, prob). m must be ≤ MaxEnumEdges.
 func (t *Table) Iter(visit func(mask Mask, prob float64)) error {
@@ -107,46 +98,6 @@ func (t *Table) Iter(visit func(mask Mask, prob float64)) error {
 	total := uint64(1) << uint(m)
 	for i := uint64(0); i < total; i++ {
 		visit(i, t.Prob(i))
-	}
-	return nil
-}
-
-// IterGray visits all 2^m configurations in Gray-code order. The first call
-// receives mask 0 (all links failed) with flip = -1; each subsequent call
-// receives the next Gray mask and the index of the single link whose state
-// flipped, along with the configuration probability (maintained
-// incrementally with one multiply and one divide per step; probabilities
-// with p = 0 links fall back to recomputation to avoid dividing by zero).
-func (t *Table) IterGray(visit func(mask Mask, flip int, prob float64)) error {
-	m := len(t.PFail)
-	if m > MaxEnumEdges {
-		return &ErrTooManyEdges{N: m, Where: "configuration space"}
-	}
-	total := uint64(1) << uint(m)
-	prob := t.Prob(0)
-	anyZero := false
-	for _, p := range t.PFail {
-		if p == 0 {
-			anyZero = true
-			break
-		}
-	}
-	visit(0, -1, prob)
-	mask := Mask(0)
-	for i := uint64(1); i < total; i++ {
-		flip := GrayFlip(i)
-		mask ^= 1 << uint(flip)
-		switch {
-		case anyZero, i&1023 == 0:
-			// Links with p = 0 forbid the divide; and a periodic full
-			// recomputation caps floating-point drift along the walk.
-			prob = t.Prob(mask)
-		case mask&(1<<uint(flip)) != 0:
-			prob = prob / t.PFail[flip] * t.PLive[flip]
-		default:
-			prob = prob / t.PLive[flip] * t.PFail[flip]
-		}
-		visit(mask, flip, prob)
 	}
 	return nil
 }

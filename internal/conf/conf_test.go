@@ -3,7 +3,6 @@ package conf
 import (
 	"math"
 	"math/big"
-	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -51,89 +50,12 @@ func TestProbRatMatchesFloat(t *testing.T) {
 	}
 }
 
-func TestGrayCodeProperties(t *testing.T) {
-	const m = 10
-	seen := make(map[Mask]bool)
-	prev := GrayMask(0)
-	seen[prev] = true
-	for i := uint64(1); i < 1<<m; i++ {
-		g := GrayMask(i)
-		if bits.OnesCount64(prev^g) != 1 {
-			t.Fatalf("Gray step %d flips %d bits", i, bits.OnesCount64(prev^g))
-		}
-		if flip := GrayFlip(i); prev^g != 1<<uint(flip) {
-			t.Fatalf("GrayFlip(%d) = %d, but diff = %b", i, flip, prev^g)
-		}
-		if seen[g] {
-			t.Fatalf("Gray mask %b repeated", g)
-		}
-		seen[g] = true
-		prev = g
-	}
-	if len(seen) != 1<<m {
-		t.Fatalf("visited %d masks, want %d", len(seen), 1<<m)
-	}
-}
-
-func TestIterGrayProbMatchesDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	p := make([]float64, 12)
-	for i := range p {
-		p[i] = rng.Float64() * 0.95
-	}
-	p[3] = 0 // exercise the zero-probability fallback
-	tab := NewTable(p)
-	count := 0
-	err := tab.IterGray(func(mask Mask, flip int, prob float64) {
-		want := tab.Prob(mask)
-		if math.Abs(prob-want) > 1e-12 {
-			t.Fatalf("mask %b: incremental %g, direct %g", mask, prob, want)
-		}
-		if count == 0 && (mask != 0 || flip != -1) {
-			t.Fatalf("first visit mask=%b flip=%d", mask, flip)
-		}
-		count++
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 1<<12 {
-		t.Fatalf("visited %d configurations, want %d", count, 1<<12)
-	}
-}
-
-func TestIterGrayDriftResync(t *testing.T) {
-	// No zero probabilities: the incremental path with periodic resync.
-	rng := rand.New(rand.NewSource(7))
-	p := make([]float64, 14)
-	for i := range p {
-		p[i] = 0.01 + rng.Float64()*0.9
-	}
-	tab := NewTable(p)
-	worst := 0.0
-	if err := tab.IterGray(func(mask Mask, _ int, prob float64) {
-		want := tab.Prob(mask)
-		rel := math.Abs(prob-want) / math.Max(want, 1e-300)
-		if rel > worst {
-			worst = rel
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if worst > 1e-10 {
-		t.Fatalf("worst relative drift %g", worst)
-	}
-}
-
 func TestTooManyEdges(t *testing.T) {
 	p := make([]float64, MaxEnumEdges+1)
 	tab := NewTable(p)
-	if err := tab.Iter(func(Mask, float64) {}); err == nil {
-		t.Fatal("Iter accepted too many links")
-	}
-	err := tab.IterGray(func(Mask, int, float64) {})
+	err := tab.Iter(func(Mask, float64) {})
 	if err == nil {
-		t.Fatal("IterGray accepted too many links")
+		t.Fatal("Iter accepted too many links")
 	}
 	var tooMany *ErrTooManyEdges
 	if ok := errorAs(err, &tooMany); !ok || tooMany.N != MaxEnumEdges+1 {

@@ -16,66 +16,24 @@
 //     assignment class 𝒟_{E”} (procedure ACCUMULATION, §IV-B) and weight
 //     by the probability p_{E”} of that configuration (Eq. 2–3).
 //
-// Two ablation axes mirror design choices the paper leaves implicit:
-// side-array construction may recompute each max flow from scratch or walk
-// the configurations in Gray-code order repairing the previous flow, and
-// the accumulation may follow the paper's literal subset scan or aggregate
-// once with a superset-zeta transform.
+// Each phase has one production path. Step 3 is an ascending walk that
+// decides most pairs without a max-flow call (frontier.go), and step 4
+// aggregates each side once and applies a superset-zeta transform, so
+// every inclusion–exclusion term is a table lookup. The paper-literal
+// forms — a dense walk that solves every pair from scratch and the
+// subset-scan ACCUMULATION — are the test oracles these paths are held
+// to (oracle_test.go).
 package core
 
 import (
 	"fmt"
-	"math/bits"
-	"sync"
 	"time"
 
 	"flowrel/internal/anytime"
 	"flowrel/internal/assign"
-	"flowrel/internal/conf"
 	"flowrel/internal/graph"
 	"flowrel/internal/maxflow"
-	"flowrel/internal/mincut"
 	"flowrel/internal/stats"
-)
-
-// SideEngine selects how the per-side realization arrays are built.
-type SideEngine int
-
-const (
-	// SideFrontier (the default) walks the configurations once in
-	// ascending order on the calling goroutine and exploits the
-	// monotonicity of flow feasibility: a bit-parallel superset closure
-	// marks every configuration above an already-realized one, and a
-	// capacity bound and the minimum cuts of earlier failed solves
-	// discard configurations that cannot carry an assignment's load — so
-	// max-flow is paid only where none of these decides. It produces
-	// bit-identical realization arrays to SideBinary (frontier.go).
-	SideFrontier SideEngine = iota
-	// SideBinary solves every (assignment, configuration) max-flow
-	// problem from scratch, in plain binary counting order.
-	SideBinary
-	// SideGrayCode walks configurations in Gray-code order and repairs
-	// the previous flow after the single link flip.
-	SideGrayCode
-)
-
-// SideRecompute is the former name of SideBinary.
-//
-// Deprecated: use SideBinary.
-const SideRecompute = SideBinary
-
-// Accumulation selects how per-class probabilities are combined.
-type Accumulation int
-
-const (
-	// AccumZeta aggregates configuration probabilities by realized
-	// assignment mask and applies a superset-zeta transform once; each
-	// inclusion–exclusion term is then a table lookup.
-	AccumZeta Accumulation = iota
-	// AccumDirect follows procedure ACCUMULATION literally: for every
-	// subset X of the supported class, scan the side arrays to compute
-	// p_X, then apply inclusion–exclusion.
-	AccumDirect
 )
 
 // Options tunes the solver.
@@ -93,12 +51,6 @@ type Options struct {
 	// takes O(2^{|𝒟|}) memory). The paper assumes d and k constant, which
 	// is exactly this bound.
 	MaxAssignmentSet int
-	// Parallelism is the number of worker goroutines for the dense side
-	// engines (SideBinary, SideGrayCode); ≤ 0 means GOMAXPROCS. The
-	// default SideFrontier walk runs on the calling goroutine.
-	Parallelism int
-	Side        SideEngine
-	Accum       Accumulation
 	// Ctl optionally makes the run cancellable. The decomposition cannot
 	// certify a partial answer (the side arrays are all-or-nothing), so an
 	// interrupted run returns an error wrapping anytime.ErrInterrupted;
@@ -118,9 +70,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.MaxAssignmentSet <= 0 {
 		o.MaxAssignmentSet = 20
-	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = defaultParallelism()
 	}
 }
 
@@ -192,16 +141,6 @@ func Reliability(g *graph.Graph, dem graph.Demand, opt Options) (Result, error) 
 	return planResult(plan)
 }
 
-// ReliabilityWithBottleneck runs the decomposition on a pre-validated
-// bottleneck split.
-func ReliabilityWithBottleneck(g *graph.Graph, dem graph.Demand, bt *mincut.Bottleneck, opt Options) (Result, error) {
-	plan, err := CompileWithBottleneck(g, dem, bt, opt)
-	if err != nil {
-		return Result{}, err
-	}
-	return planResult(plan)
-}
-
 // planResult evaluates a freshly compiled plan at its own base
 // probabilities and packages the decomposition description.
 func planResult(plan *Plan) (Result, error) {
@@ -220,22 +159,17 @@ func planResult(plan *Plan) (Result, error) {
 	}, nil
 }
 
-// sideArray is the §III-C data structure for one component: for every
-// failure configuration of the component's links, the set of assignments
-// it realizes (as a bit mask over 𝒟). Occurrence probabilities are *not*
-// part of it — they belong to the evaluate phase (Plan.Eval), which is
-// what makes a compiled Plan reusable across probability vectors.
-type sideArray struct {
-	m        int      // number of component links
-	realized []uint64 // indexed by configuration mask
-}
-
-// buildSide constructs the realization array for one component. terminal
-// is the component's real terminal (s or t, in component node IDs); ends
-// are the component-side endpoints of the bottleneck links (x_i or y_i);
-// toSink selects the G_s orientation (route from terminal to the
-// bottleneck endpoints) versus G_t (from the endpoints to the terminal).
-func buildSide(sub *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, toSink bool, ds *assign.Set, opt *Options, st *Stats, sideIdx int) (*sideArray, error) {
+// buildSide constructs the §III-C realization array for one component:
+// for every failure configuration of the component's links, the set of
+// assignments it realizes (as a bit mask over 𝒟). Occurrence
+// probabilities are *not* part of it — they belong to the evaluate phase
+// (Plan.Eval), which is what makes a compiled Plan reusable across
+// probability vectors. terminal is the component's real terminal (s or
+// t, in component node IDs); ends are the component-side endpoints of the
+// bottleneck links (x_i or y_i); toSink selects the G_s orientation
+// (route from terminal to the bottleneck endpoints) versus G_t (from the
+// endpoints to the terminal).
+func buildSide(sub *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, toSink bool, ds *assign.Set, opt *Options, st *Stats, sideIdx int) ([]uint64, error) {
 	m := sub.G.NumEdges()
 	if m > opt.MaxSideEdges {
 		return nil, fmt.Errorf("core: component has %d links, exceeding MaxSideEdges %d", m, opt.MaxSideEdges)
@@ -243,20 +177,9 @@ func buildSide(sub *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, 
 	buildStart := time.Now()
 	callsBefore := st.MaxFlowCalls
 
-	sa := &sideArray{
-		m:        m,
-		realized: make([]uint64, uint64(1)<<uint(m)),
-	}
+	realized := make([]uint64, uint64(1)<<uint(m))
 	st.SideConfigs[sideIdx] = uint64(1) << uint(m)
-
-	var err error
-	if opt.Side == SideFrontier {
-		err = buildSideFrontier(newFrontierCtx(sub, terminal, ends, toSink, ds, opt), sa.realized, st)
-	} else {
-		proto, handles, demandArcs, src, dst := sideProto(sub, terminal, ends, toSink)
-		err = buildSideWave(proto, handles, demandArcs, src, dst, ds, opt, st, sa, opt.Side)
-	}
-	if err != nil {
+	if err := walkFrontier(newFrontierCtx(sub, terminal, ends, toSink, ds, opt), realized, st); err != nil {
 		return nil, err
 	}
 	if opt.Ctl.Stopped() {
@@ -271,13 +194,14 @@ func buildSide(sub *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, 
 			MaxFlowCalls: st.MaxFlowCalls - callsBefore,
 		})
 	}
-	return sa, nil
+	return realized, nil
 }
 
 // sideProto builds the prototype max-flow network for one component: the
 // component links plus one super terminal carrying the per-assignment
-// demand arcs. Shared by every side engine, cold or delta, so all of
-// them solve on byte-identical networks.
+// demand arcs. Shared by the cold and delta walks and by the dense
+// reference walk the tests hold them to, so all of them solve on
+// byte-identical networks.
 func sideProto(sub *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, toSink bool) (proto *maxflow.Network, handles, demandArcs []maxflow.Handle, src, dst int32) {
 	proto = maxflow.New(sub.G.NumNodes())
 	super := proto.AddNode()
@@ -320,65 +244,6 @@ func sideNeeds(ds *assign.Set, ends []graph.NodeID, terminal graph.NodeID) []int
 	return need
 }
 
-// buildSideWave runs the dense enumeration engines (binary, Gray code):
-// one worker wave where each chunk worker owns a private network clone and
-// loops over all assignments itself (setting the demand-arc loads on its
-// own copy), so the clone and spawn cost is paid once rather than once per
-// assignment. Each chunk accumulates into its own Stats slot; the slots
-// are summed after the wave completes, so the hot path takes no lock.
-func buildSideWave(proto *maxflow.Network, handles []maxflow.Handle, demandArcs []maxflow.Handle, src, dst int32, ds *assign.Set, opt *Options, st *Stats, sa *sideArray, engine SideEngine) error {
-	m := sa.m
-	chunks := conf.SplitEnum(m)
-	errs := make([]error, len(chunks))
-	chunkStats := make([]Stats, len(chunks))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, opt.Parallelism)
-	for ci, r := range chunks {
-		wg.Add(1)
-		go func(ci int, lo, hi uint64) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			cur := lo
-			defer anytime.RecoverInto(&errs[ci], opt.Ctl, "core side-array worker", &cur)
-			if opt.Ctl.Stopped() {
-				return
-			}
-			nw := proto.Clone()
-			cst := &chunkStats[ci]
-			for j, a := range ds.Assignments {
-				if opt.Ctl.Stopped() {
-					break
-				}
-				for i := range demandArcs {
-					nw.SetBaseCapDirected(demandArcs[i], a[i])
-				}
-				bit := uint64(1) << uint(j)
-				var n uint64
-				if engine == SideGrayCode {
-					n = sideGrayChunk(nw, handles, src, dst, ds.D, bit, sa, lo, hi, opt, &cur)
-				} else {
-					n = sideBinaryChunk(nw, handles, src, dst, ds.D, bit, sa, lo, hi, opt, &cur)
-				}
-				cst.RealizationChecks += int64(n)
-			}
-			cst.MaxFlowCalls = nw.Stats.MaxFlowCalls
-			cst.AugmentUnits = nw.Stats.AugmentUnits
-			cst.AugmentingPaths = nw.Stats.AugmentingPaths
-		}(ci, r[0], r[1])
-	}
-	wg.Wait()
-	for ci := range chunkStats {
-		st.add(&chunkStats[ci])
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // add accumulates the per-worker counters of o into st (SideConfigs is
 // set once by buildSide, not summed).
 func (st *Stats) add(o *Stats) {
@@ -391,90 +256,3 @@ func (st *Stats) add(o *Stats) {
 	st.FrontierMaxFlowCalls += o.FrontierMaxFlowCalls
 	st.DeltaReused += o.DeltaReused
 }
-
-// sideBinaryChunk solves each configuration in [lo,hi) from scratch,
-// setting the given assignment bit where realized. It returns the number
-// of configurations actually decided (fewer than hi−lo when interrupted).
-func sideBinaryChunk(nw *maxflow.Network, handles []maxflow.Handle, src, dst int32, d int, bit uint64, sa *sideArray, lo, hi uint64, opt *Options, cur *uint64) uint64 {
-	prev := ^uint64(0)
-	width := uint64(1)<<uint(len(handles)) - 1
-	var sinceCheck, n uint64
-	callsMark := nw.Stats.MaxFlowCalls
-	for mask := lo; mask < hi; mask++ {
-		if sinceCheck >= anytime.CheckEvery {
-			if !opt.Ctl.Charge(sinceCheck, nw.Stats.MaxFlowCalls-callsMark) {
-				return n
-			}
-			sinceCheck, callsMark = 0, nw.Stats.MaxFlowCalls
-		}
-		sinceCheck++
-		*cur = mask
-		if opt.TestHook != nil {
-			opt.TestHook(mask)
-		}
-		diff := (mask ^ prev) & width
-		for diff != 0 {
-			i := trailingZeros(diff)
-			diff &= diff - 1
-			nw.SetEnabled(handles[i], mask&(1<<uint(i)) != 0)
-		}
-		prev = mask
-		if nw.MaxFlow(src, dst, d) >= d {
-			sa.realized[mask] |= bit
-		}
-		n++
-	}
-	opt.Ctl.Charge(sinceCheck, nw.Stats.MaxFlowCalls-callsMark)
-	return n
-}
-
-// sideGrayChunk walks Gray masks for indices [lo,hi), repairing the flow
-// across single-link flips. Returns the number of configurations decided.
-func sideGrayChunk(nw *maxflow.Network, handles []maxflow.Handle, src, dst int32, d int, bit uint64, sa *sideArray, lo, hi uint64, opt *Options, cur *uint64) uint64 {
-	mask := conf.GrayMask(lo)
-	for i := range handles {
-		nw.SetEnabled(handles[i], mask&(1<<uint(i)) != 0)
-	}
-	*cur = mask
-	if opt.TestHook != nil {
-		opt.TestHook(mask)
-	}
-	nw.ResetFlow()
-	value := nw.Augment(src, dst, d)
-	if value >= d {
-		sa.realized[mask] |= bit
-	}
-	var n uint64 = 1
-	sinceCheck := uint64(1)
-	callsMark := nw.Stats.MaxFlowCalls
-	for i := lo + 1; i < hi; i++ {
-		if sinceCheck >= anytime.CheckEvery {
-			if !opt.Ctl.Charge(sinceCheck, nw.Stats.MaxFlowCalls-callsMark) {
-				return n
-			}
-			sinceCheck, callsMark = 0, nw.Stats.MaxFlowCalls
-		}
-		sinceCheck++
-		flip := conf.GrayFlip(i)
-		b := uint64(1) << uint(flip)
-		mask ^= b
-		*cur = mask
-		if opt.TestHook != nil {
-			opt.TestHook(mask)
-		}
-		if mask&b != 0 {
-			nw.EnableIncremental(handles[flip])
-		} else {
-			value -= nw.DisableIncremental(handles[flip], src, dst)
-		}
-		value += nw.Augment(src, dst, d-value)
-		if value >= d {
-			sa.realized[mask] |= bit
-		}
-		n++
-	}
-	opt.Ctl.Charge(sinceCheck, nw.Stats.MaxFlowCalls-callsMark)
-	return n
-}
-
-func trailingZeros(x uint64) int { return bits.TrailingZeros64(x) }

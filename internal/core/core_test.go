@@ -122,25 +122,21 @@ func TestTwoBottleneckMatchesNaive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, side := range []SideEngine{SideFrontier, SideBinary, SideGrayCode} {
-		for _, acc := range []Accumulation{AccumZeta, AccumDirect} {
-			res, err := Reliability(g, dem, Options{Side: side, Accum: acc})
-			if err != nil {
-				t.Fatalf("side=%d accum=%d: %v", side, acc, err)
-			}
-			if math.Abs(res.Reliability-want.Reliability) > 1e-12 {
-				t.Fatalf("side=%d accum=%d: core %.15f vs naive %.15f", side, acc, res.Reliability, want.Reliability)
-			}
-			if res.K != 2 {
-				t.Fatalf("K = %d", res.K)
-			}
-			if len(res.Assignments) != 3 {
-				t.Fatalf("|D| = %d, want 3 {(2,0),(1,1),(0,2)}", len(res.Assignments))
-			}
-		}
+	res, err := Reliability(g, dem, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(res.Reliability-want.Reliability) > 1e-12 {
+		t.Fatalf("core %.15f vs naive %.15f", res.Reliability, want.Reliability)
+	}
+	if res.K != 2 {
+		t.Fatalf("K = %d", res.K)
+	}
+	if len(res.Assignments) != 3 {
+		t.Fatalf("|D| = %d, want 3 {(2,0),(1,1),(0,2)}", len(res.Assignments))
 	}
 	// Explicit bottleneck gives the same answer.
-	res, err := Reliability(g, dem, Options{Bottleneck: cut})
+	res, err = Reliability(g, dem, Options{Bottleneck: cut})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,9 +161,6 @@ func TestErrors(t *testing.T) {
 	}
 	if _, err := Reliability(g, dem, Options{MaxAssignmentSet: 2}); err == nil {
 		t.Fatal("assignment limit not enforced")
-	}
-	if _, err := Reliability(g, dem, Options{Accum: Accumulation(99)}); err == nil {
-		t.Fatal("unknown accumulation accepted")
 	}
 }
 
@@ -232,7 +225,7 @@ func plantBottleneck(rng *rand.Rand, sideNodes, sideEdges, k, d int) (*graph.Gra
 	return b.MustBuild(), graph.Demand{S: s, T: t, D: d}, cut
 }
 
-// Property: on random planted-bottleneck graphs, every core variant agrees
+// Property: on random planted-bottleneck graphs, the decomposition agrees
 // with the naive baseline.
 func TestQuickCoreMatchesNaive(t *testing.T) {
 	f := func(seed int64) bool {
@@ -247,24 +240,18 @@ func TestQuickCoreMatchesNaive(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, side := range []SideEngine{SideFrontier, SideBinary, SideGrayCode} {
-			for _, acc := range []Accumulation{AccumZeta, AccumDirect} {
-				res, err := Reliability(g, dem, Options{
-					Bottleneck: cut, Side: side, Accum: acc, MaxAssignmentSet: 62,
-				})
-				if err != nil {
-					// The planted cut can fail minimality if a random side
-					// link shortcuts it; fall back to discovery.
-					res, err = Reliability(g, dem, Options{Side: side, Accum: acc, MaxAssignmentSet: 62})
-					if err != nil {
-						return true // no small cut found: out of scope
-					}
-				}
-				if math.Abs(res.Reliability-want.Reliability) > 1e-9 {
-					t.Logf("seed %d side %d acc %d: core %.12f naive %.12f", seed, side, acc, res.Reliability, want.Reliability)
-					return false
-				}
+		res, err := Reliability(g, dem, Options{Bottleneck: cut, MaxAssignmentSet: 62})
+		if err != nil {
+			// The planted cut can fail minimality if a random side
+			// link shortcuts it; fall back to discovery.
+			res, err = Reliability(g, dem, Options{MaxAssignmentSet: 62})
+			if err != nil {
+				return true // no small cut found: out of scope
 			}
+		}
+		if math.Abs(res.Reliability-want.Reliability) > 1e-9 {
+			t.Logf("seed %d: core %.12f naive %.12f", seed, res.Reliability, want.Reliability)
+			return false
 		}
 		return true
 	}
@@ -408,30 +395,5 @@ func TestSourceAdjacentCut(t *testing.T) {
 	}
 	if res.SideEdges[0] != 0 {
 		t.Fatalf("G_s should have no links, got %d", res.SideEdges[0])
-	}
-	// The Gray-code engine must handle the empty side too.
-	gray, err := Reliability(g, dem, Options{Bottleneck: []graph.EdgeID{c1, c2}, Side: SideGrayCode})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !testutil.AlmostEqual(gray.Reliability, res.Reliability, 0) {
-		t.Fatalf("gray %.17g vs recompute %.17g", gray.Reliability, res.Reliability)
-	}
-}
-
-func TestParallelismConsistency(t *testing.T) {
-	g, dem, cut := twoBottleneck()
-	r1, err := Reliability(g, dem, Options{Bottleneck: cut, Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r8, err := Reliability(g, dem, Options{Bottleneck: cut, Parallelism: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Chunk boundaries are independent of the worker count, so the result
-	// is bit-identical, not merely close.
-	if !testutil.AlmostEqual(r1.Reliability, r8.Reliability, 0) {
-		t.Fatalf("parallelism changes result: %.17g vs %.17g", r1.Reliability, r8.Reliability)
 	}
 }

@@ -9,12 +9,12 @@ import (
 	"flowrel/internal/maxflow"
 )
 
-// The frontier engine (SideFrontier) builds the same realization array as
-// the dense engines while paying max-flow only where no exact argument
-// decides a pair. It rests on one fact: realization is monotone in the
-// link set. Adding a live link never removes an s–t flow, so if
-// configuration S realizes assignment a then every superset of S does,
-// and if S cannot carry a's load then no subset of S can. The walk visits
+// The frontier walk builds a side's realization array (§III-C) while
+// paying max-flow only where no exact argument decides a pair. It rests
+// on one fact: realization is monotone in the link set. Adding a live
+// link never removes an s–t flow, so if configuration S realizes
+// assignment a then every superset of S does, and if S cannot carry a's
+// load then no subset of S can. The walk visits
 // the masks in increasing numeric order, on the calling goroutine, and
 // decides each (assignment, mask) pair by the first of these that
 // applies:
@@ -38,12 +38,13 @@ import (
 //     its certificate.
 //
 // None of these guesses: each is an exact implication of max-flow
-// feasibility, so the resulting array is bit-identical to SideBinary's.
-// Budget accounting is also identical: every (assignment, configuration)
-// pair is charged whether it was pruned or solved, so anytime budgets and
-// certified partial bounds see the same configuration counts as the dense
-// engines. A certificate holds only under the capacities it was made
-// with, so every walk — cold or delta — starts with empty lists.
+// feasibility, so the resulting array is bit-identical to a dense walk
+// that solves every pair from scratch (the tests' oracle). Budget
+// accounting matches that walk too: every (assignment, configuration)
+// pair is charged whether it was pruned or solved, so anytime budgets
+// and certified partial bounds see |𝒟|·2^m configurations per side. A
+// certificate holds only under the capacities it was made with, so
+// every walk — cold or delta — starts with empty lists.
 
 // certCap bounds each assignment's certificate list, and with it the
 // containment scan per open pair; past it the least recently used
@@ -145,11 +146,11 @@ func (t certTable) record(j int, a uint64) {
 	t[j] = l
 }
 
-// buildSideFrontier runs the ascending walk for one side, filling
+// walkFrontier runs the ascending walk for one side, filling
 // realized. A panic on the walk (a TestHook fault, say) comes back as
 // the error; interruption is left for the caller to detect via
-// opt.Ctl.Stopped (matching buildSideWave).
-func buildSideFrontier(f *frontierCtx, realized []uint64, st *Stats) (err error) {
+// opt.Ctl.Stopped.
+func walkFrontier(f *frontierCtx, realized []uint64, st *Stats) (err error) {
 	n := f.ds.Len()
 	w := newFrontierWorker(n)
 	defer foldWorker(st, w, netStats{})

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -32,13 +33,13 @@ import (
 //
 // Every per-lane operation happens in exactly the one-lane kernel's
 // order, so lane l of a block evaluation is bit-identical to evaluating
-// scenario l alone — the contract TestKernelLaneEquivalence and
+// scenario l alone — the contract TestEvalBatchIntoQuick and
 // TestPlanEvalBatchDeterministic enforce. The one-lane kernel in turn
-// reproduces the original scalar evaluator (EvalScalar) bit for bit on
-// the zeta path: segment sums add in the scatter's ascending-mask order,
-// the term signs fold the parity negation (r += (-parity)·qs·qt is
-// exactly r -= parity·qs·qt), and the configuration walk keeps its
-// ascending order.
+// reproduces the original scalar evaluator (EvalScalar) bit for bit, as
+// TestKernelMatchesScalarCorpus checks: segment sums add in the
+// scatter's ascending-mask order, the term signs fold the parity
+// negation (r += (-parity)·qs·qt is exactly r -= parity·qs·qt), and the
+// configuration walk keeps its ascending order.
 
 // batchLanes is the wide kernel's block width.
 const batchLanes = 8
@@ -82,10 +83,6 @@ type evalKernel struct {
 	cfgs     []kernelCfg
 	termX    []uint32
 	termSign []float64
-	// termXi maps each term to its index in xs, the deduplicated lattice
-	// points; the direct (sparse) path computes each point once.
-	termXi []int32
-	xs     []uint32
 
 	// Segmented aggregation, per side: perm lists the side configuration
 	// masks grouped by realized mask (ascending mask within each group —
@@ -96,13 +93,11 @@ type evalKernel struct {
 	segOff [2][]int32
 }
 
-// kscratch1 is the one-lane kernel's per-evaluation scratch. The zeta
-// path uses q as the dense lattice; the direct path reuses q for the
-// per-segment sums and px for the deduplicated superset probabilities.
+// kscratch1 is the one-lane kernel's per-evaluation scratch: per side,
+// the configuration probabilities and the dense zeta lattice q.
 type kscratch1 struct {
 	probs [2][]float64
 	q     [2][]float64
-	px    [2][]float64
 	pCut  []float64
 }
 
@@ -111,7 +106,6 @@ type kscratch1 struct {
 type kscratch8 struct {
 	probs [2][]block8
 	q     [2][]block8
-	px    [2][]block8
 	pcF   []block8
 	pcL   []block8
 	rows  [8][]float64
@@ -143,11 +137,6 @@ func (p *Plan) compileKernel() *evalKernel {
 	k := &evalKernel{
 		termX:    make([]uint32, 0, terms),
 		termSign: make([]float64, 0, terms),
-		termXi:   make([]int32, 0, terms),
-	}
-	xi := make([]int32, uint64(1)<<uint(n))
-	for i := range xi {
-		xi[i] = -1
 	}
 	//flowrelvet:unbounded compile phase: same 2^k walk as above — plan-sized, budget charged during Compile (reviewed: PR-7).
 	for e := uint64(0); e < uint64(1)<<uint(len(p.Cut)); e++ {
@@ -160,13 +149,8 @@ func (p *Plan) compileKernel() *evalKernel {
 			if x == 0 {
 				return
 			}
-			if xi[x] < 0 {
-				xi[x] = int32(len(k.xs))
-				k.xs = append(k.xs, uint32(x))
-			}
 			k.termX = append(k.termX, uint32(x))
 			k.termSign = append(k.termSign, -subset.PopcountParity(x))
-			k.termXi = append(k.termXi, xi[x])
 		})
 		k.cfgs = append(k.cfgs, kernelCfg{cut: e, off: off, end: int32(len(k.termX))})
 	}
@@ -175,10 +159,7 @@ func (p *Plan) compileKernel() *evalKernel {
 		k.perm[side], k.segRM[side], k.segOff[side] = groupByRealized(p.realized[side], n)
 	}
 
-	k.lanes = batchLanes
-	if k.scratchFloats(p, n)*batchLanes > maxBlockScratchFloats {
-		k.lanes = 1
-	}
+	k.lanes = p.kernelLanes()
 	mKernelBuilds.Inc()
 	mKernelTermEntries.Add(int64(len(k.termX)))
 	return k
@@ -205,33 +186,28 @@ func (p *Plan) compileKernelDelta(parent *Plan, touched int) *evalKernel {
 		return nil
 	}
 	k := &evalKernel{
+		lanes:    p.kernelLanes(),
 		cfgs:     pk.cfgs,
 		termX:    pk.termX,
 		termSign: pk.termSign,
-		termXi:   pk.termXi,
-		xs:       pk.xs,
 	}
 	other := 1 - touched
 	k.perm[other], k.segRM[other], k.segOff[other] = pk.perm[other], pk.segRM[other], pk.segOff[other]
 	k.perm[touched], k.segRM[touched], k.segOff[touched] = groupByRealized(p.realized[touched], n)
-	k.lanes = batchLanes
-	if k.scratchFloats(p, n)*batchLanes > maxBlockScratchFloats {
-		k.lanes = 1
-	}
 	mKernelBuilds.Inc()
 	return k
 }
 
-// scratchFloats is the per-lane float64 footprint of one evaluation
-// scratch — the block width multiplies it.
-func (k *evalKernel) scratchFloats(p *Plan, n int) int {
-	f := (1 << uint(p.SideEdges[0])) + (1 << uint(p.SideEdges[1]))
-	if p.accum == AccumDirect {
-		f += len(k.segRM[0]) + len(k.segRM[1]) + 2*len(k.xs)
-	} else {
-		f += 2 << uint(n)
+// kernelLanes is the batch block width for the plan: batchLanes, or 1
+// when the eight-lane scratch would exceed maxBlockScratchFloats. The
+// per-lane footprint of one evaluation scratch is both sides'
+// configuration probabilities, both zeta lattices and the cut factors.
+func (p *Plan) kernelLanes() int {
+	f := (1 << uint(p.SideEdges[0])) + (1 << uint(p.SideEdges[1])) + (2 << uint(p.ds.Len())) + 2*len(p.Cut)
+	if f*batchLanes > maxBlockScratchFloats {
+		return 1
 	}
-	return f + 2*len(p.Cut)
+	return batchLanes
 }
 
 // groupByRealized counting-sorts the configuration masks of one side by
@@ -282,8 +258,8 @@ func popcount(x uint64) int {
 // allocating one as large as its side arrays. The kernel guards bound
 // every length, so the set of shapes is finite.
 type kshape struct {
-	probs, q, px [2]int
-	cut          int
+	probs, q [2]int
+	cut      int
 }
 
 // kpools maps each kshape to its *sync.Pool of *kscratch1. The map lives
@@ -297,12 +273,7 @@ func kpool1For(p *Plan) *sync.Pool {
 	sh := kshape{cut: len(p.Cut)}
 	for side := 0; side < 2; side++ {
 		sh.probs[side] = 1 << uint(p.SideEdges[side])
-		if p.accum == AccumDirect {
-			sh.q[side] = len(p.kern.segRM[side])
-			sh.px[side] = len(p.kern.xs)
-		} else {
-			sh.q[side] = 1 << uint(p.ds.Len())
-		}
+		sh.q[side] = 1 << uint(p.ds.Len())
 	}
 	if pool, ok := kpools.Load(sh); ok {
 		return pool.(*sync.Pool)
@@ -316,9 +287,6 @@ func newKScratch1(sh kshape) *kscratch1 {
 	for side := 0; side < 2; side++ {
 		sc.probs[side] = make([]float64, sh.probs[side])
 		sc.q[side] = make([]float64, sh.q[side])
-		if sh.px[side] > 0 {
-			sc.px[side] = make([]float64, sh.px[side])
-		}
 	}
 	return sc
 }
@@ -330,16 +298,12 @@ func newKScratch8(p *Plan) *kscratch8 {
 			make([]block8, uint64(1)<<uint(p.SideEdges[0])),
 			make([]block8, uint64(1)<<uint(p.SideEdges[1])),
 		},
+		q: [2][]block8{
+			make([]block8, uint64(1)<<uint(n)),
+			make([]block8, uint64(1)<<uint(n)),
+		},
 		pcF: make([]block8, len(p.Cut)),
 		pcL: make([]block8, len(p.Cut)),
-	}
-	for side := 0; side < 2; side++ {
-		if p.accum == AccumDirect {
-			sc.q[side] = make([]block8, len(p.kern.segRM[side]))
-			sc.px[side] = make([]block8, len(p.kern.xs))
-		} else {
-			sc.q[side] = make([]block8, uint64(1)<<uint(n))
-		}
 	}
 	return sc
 }
@@ -356,10 +320,6 @@ func (p *Plan) evalKernel1(sc *kscratch1, pfail []float64) float64 {
 	}
 	for i, eid := range p.Cut {
 		sc.pCut[i] = pfail[eid]
-	}
-
-	if p.accum == AccumDirect {
-		return p.evalKernel1Direct(sc)
 	}
 
 	n := p.ds.Len()
@@ -388,51 +348,6 @@ func (p *Plan) evalKernel1(sc *kscratch1, pfail []float64) float64 {
 		for t := cfg.off; t < cfg.end; t++ {
 			x := k.termX[t]
 			r += k.termSign[t] * qs[x] * qt[x]
-		}
-		total += conf.Prob(sc.pCut, cfg.cut) * r
-	}
-	return total
-}
-
-// evalKernel1Direct is the paper-literal ACCUMULATION through the tables:
-// per-segment sums stand in for the side-array scans, each distinct
-// lattice point gets its superset probability once, then the term table
-// drives the inclusion–exclusion.
-//
-//flowrelvet:hotpath direct-accumulation twin of the one-lane kernel, same per-scenario cost profile (reviewed: PR-8)
-func (p *Plan) evalKernel1Direct(sc *kscratch1) float64 {
-	k := p.kern
-	for side := 0; side < 2; side++ {
-		probs := sc.probs[side]
-		perm, segOff := k.perm[side], k.segOff[side]
-		seg := sc.q[side]
-		for s := range seg {
-			sum := 0.0
-			for _, mask := range perm[segOff[s]:segOff[s+1]] {
-				sum += probs[mask]
-			}
-			seg[s] = sum
-		}
-		segRM := k.segRM[side]
-		px := sc.px[side]
-		for i, x := range k.xs {
-			sum := 0.0
-			for s, rm := range segRM {
-				if rm&x == x {
-					sum += seg[s]
-				}
-			}
-			px[i] = sum
-		}
-	}
-
-	total := 0.0
-	pxs, pxt := sc.px[0], sc.px[1]
-	for _, cfg := range k.cfgs {
-		r := 0.0
-		for t := cfg.off; t < cfg.end; t++ {
-			i := k.termXi[t]
-			r += k.termSign[t] * pxs[i] * pxt[i]
 		}
 		total += conf.Prob(sc.pCut, cfg.cut) * r
 	}
@@ -478,10 +393,6 @@ func (p *Plan) evalKernel8(sc *kscratch8) block8 {
 		sc.pcL[i] = live
 	}
 
-	if p.accum == AccumDirect {
-		return p.evalKernel8Direct(sc)
-	}
-
 	n := p.ds.Len()
 	qs, qt := sc.q[0], sc.q[1]
 	for side := 0; side < 2; side++ {
@@ -506,55 +417,6 @@ func (p *Plan) evalKernel8(sc *kscratch8) block8 {
 			sign := k.termSign[t]
 			a := &qs[x]
 			b := &qt[x]
-			for l := 0; l < batchLanes; l++ {
-				r[l] += sign * a[l] * b[l]
-			}
-		}
-		pc := cutProb8(sc, cfg.cut)
-		for l := 0; l < batchLanes; l++ {
-			total[l] += pc[l] * r[l]
-		}
-	}
-	return total
-}
-
-// evalKernel8Direct is evalKernel1Direct over eight lanes.
-//
-//flowrelvet:hotpath direct-accumulation twin of the eight-lane kernel (reviewed: PR-8)
-func (p *Plan) evalKernel8Direct(sc *kscratch8) block8 {
-	k := p.kern
-	for side := 0; side < 2; side++ {
-		probs := sc.probs[side]
-		perm, segOff := k.perm[side], k.segOff[side]
-		seg := sc.q[side]
-		for s := range seg {
-			segSum8(&seg[s], probs, perm[segOff[s]:segOff[s+1]])
-		}
-		segRM := k.segRM[side]
-		px := sc.px[side]
-		for i, x := range k.xs {
-			var sum block8
-			for s, rm := range segRM {
-				if rm&x == x {
-					sb := &seg[s]
-					for l := 0; l < batchLanes; l++ {
-						sum[l] += sb[l]
-					}
-				}
-			}
-			px[i] = sum
-		}
-	}
-
-	var total block8
-	pxs, pxt := sc.px[0], sc.px[1]
-	for _, cfg := range k.cfgs {
-		var r block8
-		for t := cfg.off; t < cfg.end; t++ {
-			i := k.termXi[t]
-			sign := k.termSign[t]
-			a := &pxs[i]
-			b := &pxt[i]
 			for l := 0; l < batchLanes; l++ {
 				r[l] += sign * a[l] * b[l]
 			}
@@ -642,7 +504,7 @@ func (p *Plan) EvalBatchInto(dst []float64, scenarios [][]float64, opt BatchOpti
 	}
 	workers := opt.Parallelism
 	if workers <= 0 {
-		workers = defaultParallelism()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	lanes := 1
 	if p.kern != nil {

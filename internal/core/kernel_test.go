@@ -14,11 +14,12 @@ import (
 )
 
 // TestKernelMatchesScalarCorpus: on ≥ 50 random planted-bottleneck
-// graphs, under both accumulation strategies, the compiled kernel must
-// reproduce the scalar evaluate phase to 1e-12 — at the base
-// probabilities, at a random re-weighting, and with a random link
-// conditioned up (p = 0) and down (p = 1). Batch evaluation of the same
-// vectors must match single-scenario Eval bit for bit.
+// graphs, the compiled kernel must reproduce the scalar evaluate phase
+// bit for bit, and both must match the literal ACCUMULATION scan
+// (accumulateLiteral) to 1e-12 — at the base probabilities, at a random
+// re-weighting, and with a random link conditioned up (p = 0) and down
+// (p = 1). Batch evaluation of the same vectors must match
+// single-scenario Eval bit for bit.
 func TestKernelMatchesScalarCorpus(t *testing.T) {
 	const wantGraphs = 50
 	count := 0
@@ -27,65 +28,60 @@ func TestKernelMatchesScalarCorpus(t *testing.T) {
 		k := 1 + rng.Intn(3)
 		d := 1 + rng.Intn(3)
 		g, dem, cut := plantBottleneck(rng, 2+rng.Intn(3), 2+rng.Intn(4), k, d)
-		counted := false
-		for _, accum := range []Accumulation{AccumZeta, AccumDirect} {
-			opt := Options{Bottleneck: cut, MaxAssignmentSet: 62, Accum: accum}
-			plan, err := Compile(g, dem, opt)
+		plan, err := Compile(g, dem, Options{Bottleneck: cut, MaxAssignmentSet: 62})
+		if err != nil {
+			plan, err = Compile(g, dem, Options{MaxAssignmentSet: 62})
 			if err != nil {
-				opt = Options{MaxAssignmentSet: 62, Accum: accum}
-				plan, err = Compile(g, dem, opt)
-				if err != nil {
-					continue
-				}
+				continue
 			}
-			if plan.kern == nil {
-				continue // trivially-zero plan: no kernel to compare
-			}
-			if !counted {
-				count++
-				counted = true
-			}
+		}
+		if plan.kern == nil {
+			continue // trivially-zero plan: no kernel to compare
+		}
+		count++
 
-			pf := plan.BasePFail()
-			vectors := [][]float64{plan.BasePFail()}
-			re := plan.BasePFail()
-			for i := range re {
-				re[i] = rng.Float64() * 0.95
-			}
-			vectors = append(vectors, re)
-			link := rng.Intn(len(pf))
-			up := append([]float64(nil), re...)
-			up[link] = 0
-			down := append([]float64(nil), re...)
-			down[link] = 1
-			vectors = append(vectors, up, down)
+		pf := plan.BasePFail()
+		vectors := [][]float64{plan.BasePFail()}
+		re := plan.BasePFail()
+		for i := range re {
+			re[i] = rng.Float64() * 0.95
+		}
+		vectors = append(vectors, re)
+		link := rng.Intn(len(pf))
+		up := append([]float64(nil), re...)
+		up[link] = 0
+		down := append([]float64(nil), re...)
+		down[link] = 1
+		vectors = append(vectors, up, down)
 
-			for vi, v := range vectors {
-				got, err := plan.Eval(v)
-				if err != nil {
-					t.Fatalf("seed %d accum %d vector %d: Eval: %v", seed, accum, vi, err)
-				}
-				want, err := plan.EvalScalar(v)
-				if err != nil {
-					t.Fatalf("seed %d accum %d vector %d: EvalScalar: %v", seed, accum, vi, err)
-				}
-				if math.Abs(got-want) > 1e-12 {
-					t.Fatalf("seed %d accum %d vector %d: kernel %.17g vs scalar %.17g", seed, accum, vi, got, want)
-				}
+		for vi, v := range vectors {
+			got, err := plan.Eval(v)
+			if err != nil {
+				t.Fatalf("seed %d vector %d: Eval: %v", seed, vi, err)
 			}
+			want, err := plan.EvalScalar(v)
+			if err != nil {
+				t.Fatalf("seed %d vector %d: EvalScalar: %v", seed, vi, err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seed %d vector %d: kernel %.17g vs scalar %.17g", seed, vi, got, want)
+			}
+			if lit := accumulateLiteral(plan, v); math.Abs(got-lit) > 1e-12 {
+				t.Fatalf("seed %d vector %d: kernel %.17g vs literal ACCUMULATION %.17g", seed, vi, got, lit)
+			}
+		}
 
-			dst := make([]float64, len(vectors))
-			if err := plan.EvalBatchInto(dst, vectors, BatchOptions{}); err != nil {
-				t.Fatalf("seed %d accum %d: EvalBatchInto: %v", seed, accum, err)
+		dst := make([]float64, len(vectors))
+		if err := plan.EvalBatchInto(dst, vectors, BatchOptions{}); err != nil {
+			t.Fatalf("seed %d: EvalBatchInto: %v", seed, err)
+		}
+		for vi, v := range vectors {
+			want, err := plan.Eval(v)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for vi, v := range vectors {
-				want, err := plan.Eval(v)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if dst[vi] != want {
-					t.Fatalf("seed %d accum %d vector %d: batch %.17g != Eval %.17g", seed, accum, vi, dst[vi], want)
-				}
+			if dst[vi] != want {
+				t.Fatalf("seed %d vector %d: batch %.17g != Eval %.17g", seed, vi, dst[vi], want)
 			}
 		}
 	}

@@ -46,8 +46,7 @@ type Plan struct {
 	version   int                // 0 for a cold compile; parent version + 1 after MutatePlan
 	bt        *mincut.Bottleneck // the validated split, retained so MutatePlan can patch it
 	ds        *assign.Set
-	classes   []uint64 // ds.Classify(), indexed by bottleneck subset mask
-	accum     Accumulation
+	classes   []uint64          // ds.Classify(), indexed by bottleneck subset mask
 	realized  [2][]uint64       // per side: realized-assignment mask per configuration
 	sideLinks [2][]graph.EdgeID // per side: side link index → original link ID
 	basePFail []float64         // the graph's probabilities at compile time
@@ -124,9 +123,6 @@ func CompileWithBottleneck(g *graph.Graph, dem graph.Demand, bt *mincut.Bottlene
 		return nil, err
 	}
 	opt.setDefaults()
-	if opt.Accum != AccumZeta && opt.Accum != AccumDirect {
-		return nil, fmt.Errorf("core: unknown accumulation strategy %d", opt.Accum)
-	}
 	compileStart := time.Now()
 
 	p := &Plan{
@@ -135,7 +131,6 @@ func CompileWithBottleneck(g *graph.Graph, dem graph.Demand, bt *mincut.Bottlene
 		SideEdges: [2]int{bt.Gs.G.NumEdges(), bt.Gt.G.NumEdges()},
 		numEdges:  g.NumEdges(),
 		bt:        bt,
-		accum:     opt.Accum,
 	}
 	p.basePFail = make([]float64, g.NumEdges())
 	for i, e := range g.Edges() {
@@ -172,8 +167,8 @@ func CompileWithBottleneck(g *graph.Graph, dem graph.Demand, bt *mincut.Bottlene
 	if err != nil {
 		return nil, err
 	}
-	p.realized[0] = sideS.realized
-	p.realized[1] = sideT.realized
+	p.realized[0] = sideS
+	p.realized[1] = sideT
 	p.sideLinks[0] = append([]graph.EdgeID(nil), bt.Gs.ParentEdge...)
 	p.sideLinks[1] = append([]graph.EdgeID(nil), bt.Gt.ParentEdge...)
 
@@ -249,9 +244,6 @@ func MutatePlan(parent *Plan, gOld, g *graph.Graph, dem graph.Demand, mut graph.
 		return nil, err
 	}
 	opt.setDefaults()
-	if opt.Accum != AccumZeta && opt.Accum != AccumDirect {
-		return nil, fmt.Errorf("core: unknown accumulation strategy %d", opt.Accum)
-	}
 	start := time.Now()
 	child, err := mutateCompile(parent, gOld, g, dem, mut, remap, opt)
 	if err != nil {
@@ -378,7 +370,6 @@ func mutateCompile(parent *Plan, gOld, g *graph.Graph, dem graph.Demand, mut gra
 		SideEdges:   [2]int{bt.Gs.G.NumEdges(), bt.Gt.G.NumEdges()},
 		numEdges:    g.NumEdges(),
 		bt:          bt,
-		accum:       opt.Accum,
 	}
 	if mut.Kind == graph.MutateCapacity {
 		// A capacity change keeps every failure probability; share the
@@ -561,7 +552,7 @@ func mutateCompile(parent *Plan, gOld, g *graph.Graph, dem graph.Demand, mut gra
 	// arrays and the shared assignment structure only — transfer wholesale
 	// (including a nil kernel: the guards are structure-only, so the parent
 	// being outside them means the child is too).
-	if sameWords(p.realized[touched], parent.realized[touched]) && p.accum == parent.accum {
+	if sameWords(p.realized[touched], parent.realized[touched]) {
 		p.installEvalPhase(parent.kern)
 	} else {
 		p.installEvalPhase(p.compileKernelDelta(parent, touched))
@@ -633,7 +624,7 @@ func (p *Plan) Eval(pfail []float64) (float64, error) {
 // EvalScalar is Eval on the scalar (pre-kernel) evaluate phase,
 // regardless of whether the plan compiled kernel tables. It is the
 // reference implementation the kernels are tested and benchmarked
-// against; the kernels reproduce it bit for bit on the zeta path.
+// against; the one-lane kernel reproduces it bit for bit.
 func (p *Plan) EvalScalar(pfail []float64) (float64, error) {
 	if pfail == nil {
 		pfail = p.basePFail
@@ -666,12 +657,7 @@ func (p *Plan) evalScalarUnchecked(sc *evalScratch, pfail []float64) float64 {
 	for i, eid := range p.Cut {
 		sc.pCut[i] = pfail[eid]
 	}
-	switch p.accum {
-	case AccumDirect:
-		return p.evalDirect(sc)
-	default:
-		return p.evalZeta(sc)
-	}
+	return p.evalZeta(sc)
 }
 
 // EvalBatch evaluates many probability scenarios in parallel (parallelism
@@ -751,44 +737,4 @@ func (p *Plan) evalZeta(sc *evalScratch) float64 {
 		total += conf.Prob(sc.pCut, e) * r
 	}
 	return total
-}
-
-// evalDirect computes Eq. 3 with the paper's literal ACCUMULATION: for
-// each bottleneck configuration E” and each non-empty X ⊆ 𝒟_{E”}, scan
-// both side arrays for p_X = P_s(⊇X)·P_t(⊇X), then inclusion–exclusion.
-// Kept as the ablation baseline.
-//
-//flowrelvet:hotpath direct accumulation: the ablation twin of evalZeta, same allocation contract (reviewed: PR-8)
-func (p *Plan) evalDirect(sc *evalScratch) float64 {
-	total := 0.0
-	//flowrelvet:unbounded evaluate phase: Plan.Eval is budget-free by contract — the side-array scans are bounded by the compiled plan's size and the full exponential cost was charged to the Ctl during Compile (reviewed: PR-3).
-	for e := uint64(0); e < uint64(1)<<uint(len(sc.pCut)); e++ {
-		dMask := p.classes[e]
-		if dMask == 0 {
-			continue
-		}
-		r := 0.0
-		subset.Submasks(dMask, func(x uint64) {
-			if x == 0 {
-				return
-			}
-			pX := scanSuperset(p.realized[0], sc.probs[0], x) * scanSuperset(p.realized[1], sc.probs[1], x)
-			r -= subset.PopcountParity(x) * pX
-		})
-		total += conf.Prob(sc.pCut, e) * r
-	}
-	return total
-}
-
-// scanSuperset returns P(configurations whose realized set contains x).
-//
-//flowrelvet:hotpath side-array scan called per inclusion-exclusion term on the direct path (reviewed: PR-8)
-func scanSuperset(realized []uint64, probs []float64, x uint64) float64 {
-	p := 0.0
-	for mask, rm := range realized {
-		if rm&x == x {
-			p += probs[mask]
-		}
-	}
-	return p
 }

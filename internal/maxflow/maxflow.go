@@ -5,9 +5,10 @@
 //     early exit at the demanded flow value is the workhorse;
 //   - every edge can be switched on and off cheaply, because the engines
 //     solve one max-flow per failure configuration;
-//   - an incremental mode repairs the current flow after a single edge is
-//     disabled or enabled, which lets the engines walk the configuration
-//     space in Gray-code order instead of re-solving from scratch.
+//   - an incremental mode repairs the current flow after edges are
+//     disabled or enabled, which lets a walk retarget one warm network
+//     from configuration to configuration instead of re-solving from
+//     scratch.
 //
 // An undirected link {u,v} of capacity c is represented as the residual
 // arc pair (u→v, c), (v→u, c); a directed arc as (u→v, c), (v→u, 0).
@@ -280,65 +281,6 @@ func (nw *Network) Augment(s, t int32, limit int) int {
 func (nw *Network) MaxFlow(s, t int32, limit int) int {
 	nw.ResetFlow()
 	return nw.Augment(s, t, limit)
-}
-
-// MaxFlowEK resets all flow and computes the s→t max flow with the
-// Edmonds–Karp algorithm (BFS shortest augmenting paths). It exists as an
-// independent implementation to cross-check Dinic.
-func (nw *Network) MaxFlowEK(s, t int32, limit int) int {
-	nw.ResetFlow()
-	nw.Stats.MaxFlowCalls++
-	lim := int32(inf)
-	if limit >= 0 {
-		lim = int32(limit)
-	}
-	parent := make([]int32, nw.n) // arc index used to reach node, -1 none
-	var total int32
-	for total < lim {
-		for i := range parent {
-			parent[i] = -1
-		}
-		parent[s] = -2
-		nw.queue = nw.queue[:0]
-		nw.queue = append(nw.queue, s)
-		found := false
-		for qi := 0; qi < len(nw.queue) && !found; qi++ {
-			u := nw.queue[qi]
-			for _, ai := range nw.adj[u] {
-				a := nw.arcs[ai]
-				if a.cap > 0 && parent[a.to] == -1 {
-					parent[a.to] = ai
-					if a.to == t {
-						found = true
-						break
-					}
-					nw.queue = append(nw.queue, a.to)
-				}
-			}
-		}
-		if !found {
-			break
-		}
-		// bottleneck
-		push := lim - total
-		for v := t; v != s; {
-			ai := parent[v]
-			if c := nw.arcs[ai].cap; c < push {
-				push = c
-			}
-			v = nw.arcs[ai^1].to
-		}
-		for v := t; v != s; {
-			ai := parent[v]
-			nw.arcs[ai].cap -= push
-			nw.arcs[ai^1].cap += push
-			v = nw.arcs[ai^1].to
-		}
-		nw.Stats.AugmentingPaths++
-		total += push
-	}
-	nw.Stats.AugmentUnits += int64(total)
-	return int(total)
 }
 
 // ResidualReachable returns the set of nodes reachable from s in the

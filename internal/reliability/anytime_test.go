@@ -60,19 +60,17 @@ func TestNaiveCancelledReturnsCertifiedInterval(t *testing.T) {
 		want, _ := exact.Float64()
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		for _, gray := range []bool{false, true} {
-			res, err := Naive(g, dem, Options{GrayCode: gray, Ctl: anytime.New(ctx, anytime.Budget{})})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Partial {
-				t.Fatalf("seed %d gray=%v: cancelled run not marked partial", seed, gray)
-			}
-			if res.Reason == "" {
-				t.Fatalf("seed %d gray=%v: no stop reason", seed, gray)
-			}
-			checkInterval(t, "naive", res.Lo, res.Hi, want)
+		res, err := Naive(g, dem, Options{Ctl: anytime.New(ctx, anytime.Budget{})})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if !res.Partial {
+			t.Fatalf("seed %d: cancelled run not marked partial", seed)
+		}
+		if res.Reason == "" {
+			t.Fatalf("seed %d: no stop reason", seed)
+		}
+		checkInterval(t, "naive", res.Lo, res.Hi, want)
 	}
 }
 
@@ -220,20 +218,18 @@ func TestImportanceSamplingCancelled(t *testing.T) {
 // failing configuration.
 func TestPanicRecoveryNaive(t *testing.T) {
 	g, dem := randomGraph(t, 8, 8, 2)
-	for _, gray := range []bool{false, true} {
-		hook := func(cfg uint64) {
-			if cfg == 100 {
-				panic("injected max-flow fault")
-			}
+	hook := func(cfg uint64) {
+		if cfg == 100 {
+			panic("injected max-flow fault")
 		}
-		_, err := Naive(g, dem, Options{GrayCode: gray, TestHook: hook, Ctl: anytime.New(context.Background(), anytime.Budget{})})
-		var pe *anytime.PanicError
-		if !errors.As(err, &pe) {
-			t.Fatalf("gray=%v: err = %v, want PanicError", gray, err)
-		}
-		if pe.Config != 100 {
-			t.Fatalf("gray=%v: failing config %d, want 100", gray, pe.Config)
-		}
+	}
+	_, err := Naive(g, dem, Options{TestHook: hook, Ctl: anytime.New(context.Background(), anytime.Budget{})})
+	var pe *anytime.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want PanicError", err)
+	}
+	if pe.Config != 100 {
+		t.Fatalf("failing config %d, want 100", pe.Config)
 	}
 }
 

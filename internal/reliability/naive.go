@@ -58,11 +58,7 @@ func Naive(g *graph.Graph, dem graph.Demand, opt Options) (Result, error) {
 			cur := lo
 			defer anytime.RecoverInto(&errs[ci], opt.Ctl, "naive enumeration worker", &cur)
 			nw := proto.Clone()
-			if opt.GrayCode {
-				partial[ci], examined[ci], stats[ci] = naiveGrayChunk(nw, handles, table, s, t, dem.D, lo, hi, &opt, &cur)
-			} else {
-				partial[ci], examined[ci], stats[ci] = naiveBinaryChunk(nw, handles, table, s, t, dem.D, lo, hi, &opt, &cur)
-			}
+			partial[ci], examined[ci], stats[ci] = naiveBinaryChunk(nw, handles, table, s, t, dem.D, lo, hi, &opt, &cur)
 		}(ci, r[0], r[1])
 	}
 	wg.Wait()
@@ -118,63 +114,6 @@ func naiveBinaryChunk(nw *maxflow.Network, handles []maxflow.Handle, table *conf
 			st.Admitting++
 			sum += p
 		}
-	}
-	opt.Ctl.Charge(sinceCheck, nw.Stats.MaxFlowCalls-callsMark)
-	st.MaxFlowCalls = nw.Stats.MaxFlowCalls
-	st.AugmentUnits = nw.Stats.AugmentUnits
-	return sum, exam, st
-}
-
-// naiveGrayChunk walks Gray masks for indices [lo, hi), maintaining the
-// flow incrementally: one edge flips per step, so the previous flow is
-// repaired rather than recomputed.
-func naiveGrayChunk(nw *maxflow.Network, handles []maxflow.Handle, table *conf.Table, s, t int32, d int, lo, hi uint64, opt *Options, cur *uint64) (float64, float64, Stats) {
-	var st Stats
-	sum, exam := 0.0, 0.0
-	mask := conf.GrayMask(lo)
-	for i := range handles {
-		nw.SetEnabled(handles[i], mask&(1<<uint(i)) != 0)
-	}
-	nw.ResetFlow()
-	value := nw.Augment(s, t, d)
-	record := func() {
-		st.Configs++
-		p := table.Prob(mask)
-		exam += p
-		if value >= d {
-			st.Admitting++
-			sum += p
-		}
-	}
-	*cur = mask
-	if opt.TestHook != nil {
-		opt.TestHook(mask)
-	}
-	record()
-	var sinceCheck uint64
-	var callsMark int64
-	for i := lo + 1; i < hi; i++ {
-		if sinceCheck >= anytime.CheckEvery {
-			if !opt.Ctl.Charge(sinceCheck, nw.Stats.MaxFlowCalls-callsMark) {
-				break
-			}
-			sinceCheck, callsMark = 0, nw.Stats.MaxFlowCalls
-		}
-		flip := conf.GrayFlip(i)
-		bit := uint64(1) << uint(flip)
-		mask ^= bit
-		*cur = mask
-		if opt.TestHook != nil {
-			opt.TestHook(mask)
-		}
-		if mask&bit != 0 {
-			nw.EnableIncremental(handles[flip])
-		} else {
-			value -= nw.DisableIncremental(handles[flip], s, t)
-		}
-		value += nw.Augment(s, t, d-value)
-		sinceCheck++
-		record()
 	}
 	opt.Ctl.Charge(sinceCheck, nw.Stats.MaxFlowCalls-callsMark)
 	st.MaxFlowCalls = nw.Stats.MaxFlowCalls

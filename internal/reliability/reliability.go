@@ -3,8 +3,8 @@
 //
 //   - Naive: the paper's baseline — enumerate all 2^|E| failure
 //     configurations, test each with a max-flow computation, and sum the
-//     probabilities of the admitting ones (Figure 1). Sequential,
-//     parallel, and Gray-code incremental variants.
+//     probabilities of the admitting ones (Figure 1), in parallel over
+//     contiguous chunks of the configuration space.
 //   - NaiveExact: the same enumeration in exact rational arithmetic; the
 //     validation oracle for every floating-point engine.
 //   - Factoring: pivotal (conditioning) decomposition with two-sided
@@ -31,10 +31,6 @@ type Options struct {
 	// Parallelism is the number of worker goroutines for the enumeration
 	// and sampling engines; ≤ 0 means runtime.GOMAXPROCS(0).
 	Parallelism int
-	// GrayCode makes Naive walk the configuration space in Gray-code
-	// order, maintaining the max flow incrementally across neighbouring
-	// configurations instead of re-solving from scratch.
-	GrayCode bool
 	// Ctl, when non-nil, threads cooperative cancellation and compute
 	// budgets through the worker loops (checked every anytime.CheckEvery
 	// configurations). Interrupted engines return a partial Result with a

@@ -324,6 +324,17 @@ func StructuralHash(g *Graph, dem Demand, cfg Config) string {
 	return hex.EncodeToString([]byte(planKey(g, dem, cfg)))
 }
 
+// coreOptions carries the Config fields the decomposition reads.
+func coreOptions(cfg Config, ctl *anytime.Ctl) core.Options {
+	return core.Options{
+		Bottleneck:       cfg.Bottleneck,
+		MaxBottleneck:    cfg.MaxBottleneck,
+		MaxSideEdges:     cfg.MaxSideEdges,
+		MaxAssignmentSet: cfg.MaxAssignmentSet,
+		Ctl:              ctl,
+	}
+}
+
 // planFor returns the compiled plan for (g, dem, cfg), from cache when the
 // structure was compiled before, compiling (and caching) otherwise. The
 // second return reports a cache hit. Concurrent calls for the same
@@ -334,14 +345,7 @@ func StructuralHash(g *Graph, dem Demand, cfg Config) string {
 // caller's tight budget cannot fail another's compile.
 func planFor(ctl *anytime.Ctl, g *Graph, dem Demand, cfg Config) (*core.Plan, bool, error) {
 	if planCache.off.Load() {
-		p, err := core.Compile(g, dem, core.Options{
-			Bottleneck:       cfg.Bottleneck,
-			MaxBottleneck:    cfg.MaxBottleneck,
-			MaxSideEdges:     cfg.MaxSideEdges,
-			MaxAssignmentSet: cfg.MaxAssignmentSet,
-			Parallelism:      cfg.Parallelism,
-			Ctl:              ctl,
-		})
+		p, err := core.Compile(g, dem, coreOptions(cfg, ctl))
 		return p, false, err
 	}
 	key := planKey(g, dem, cfg)
@@ -368,14 +372,7 @@ func planFor(ctl *anytime.Ctl, g *Graph, dem Demand, cfg Config) (*core.Plan, bo
 			continue
 		}
 
-		p, err := core.Compile(g, dem, core.Options{
-			Bottleneck:       cfg.Bottleneck,
-			MaxBottleneck:    cfg.MaxBottleneck,
-			MaxSideEdges:     cfg.MaxSideEdges,
-			MaxAssignmentSet: cfg.MaxAssignmentSet,
-			Parallelism:      cfg.Parallelism,
-			Ctl:              ctl,
-		})
+		p, err := core.Compile(g, dem, coreOptions(cfg, ctl))
 		fl.plan, fl.err = p, err
 		shard.publish(key, p, err)
 		close(fl.done)
@@ -395,14 +392,7 @@ func planFor(ctl *anytime.Ctl, g *Graph, dem Demand, cfg Config) (*core.Plan, bo
 // calls on the mutated structure hit it directly.
 func planForMutate(ctl *anytime.Ctl, parent *core.Plan, gOld, g *Graph, dem Demand, cfg Config, mut Mutation, remap []EdgeID) (*core.Plan, bool, error) {
 	if planCache.off.Load() {
-		p, err := core.MutatePlan(parent, gOld, g, dem, mut, remap, core.Options{
-			Bottleneck:       cfg.Bottleneck,
-			MaxBottleneck:    cfg.MaxBottleneck,
-			MaxSideEdges:     cfg.MaxSideEdges,
-			MaxAssignmentSet: cfg.MaxAssignmentSet,
-			Parallelism:      cfg.Parallelism,
-			Ctl:              ctl,
-		})
+		p, err := core.MutatePlan(parent, gOld, g, dem, mut, remap, coreOptions(cfg, ctl))
 		return p, false, err
 	}
 	key := planKey(g, dem, cfg)
@@ -428,14 +418,7 @@ func planForMutate(ctl *anytime.Ctl, parent *core.Plan, gOld, g *Graph, dem Dema
 			continue
 		}
 
-		p, err := core.MutatePlan(parent, gOld, g, dem, mut, remap, core.Options{
-			Bottleneck:       cfg.Bottleneck,
-			MaxBottleneck:    cfg.MaxBottleneck,
-			MaxSideEdges:     cfg.MaxSideEdges,
-			MaxAssignmentSet: cfg.MaxAssignmentSet,
-			Parallelism:      cfg.Parallelism,
-			Ctl:              ctl,
-		})
+		p, err := core.MutatePlan(parent, gOld, g, dem, mut, remap, coreOptions(cfg, ctl))
 		fl.plan, fl.err = p, err
 		shard.publish(key, p, err)
 		close(fl.done)
