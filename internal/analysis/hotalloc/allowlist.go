@@ -21,12 +21,9 @@ func allow(pats ...string) []allowance {
 // permitted. Each entry states why the escape is free in steady state;
 // an entry that stops matching is reported as stale by the module pass.
 var allowlist = map[string][]allowance{
-	// Plan.Eval: the receiver leaks into the pooled-scratch defer (a
-	// *Plan is always heap-resident already, so no call site allocates),
-	// and the remaining operands are fmt.Errorf boxing on the
+	// Plan.Eval: the operands are fmt.Errorf boxing on the
 	// reject-invalid-input error path, never taken in steady state.
 	"core.Eval": allow(
-		`^leaking param: p$`,
 		`^(len\(pfail\)|p\.numEdges|v|i) escapes to heap$`,
 	),
 

@@ -163,24 +163,18 @@ func immediateClosure(realized []uint64, mask, full uint64) uint64 {
 }
 
 // walkDelta re-decides the touched-side configurations that contain the
-// mutated link (side bit j), in ascending numeric order of the remaining
-// bits — every immediate submask of a visited mask either lacks bit j
-// (transferred, final) or was visited earlier, so the closure is always
-// exact. out must already hold the transferred entries: the low half for
-// add, or the parent's own array for capacity modes — capacity walks
-// copy-on-first-write, so the returned slice IS the parent array when no
-// word changed (the caller shares it pointer-wise) and a private copy
-// otherwise. Each visited mask charges for itself and its j-less twin,
-// keeping the side's total at 2^m·|𝒟| exactly as a cold build would
-// charge. The bool is false when the budget interrupts the walk.
+// mutated link (side bit j). out must already hold the transferred
+// entries: the low half for add, or the parent's own array for capacity
+// modes — capacity walks copy-on-first-write, so the returned slice IS
+// the parent array when no word changed (the caller shares it
+// pointer-wise) and a private copy otherwise. Each visited mask charges
+// for itself and its j-less twin, keeping the side's total at 2^m·|𝒟|
+// exactly as a cold build would charge, and is handed to opt.TestHook
+// first, as in the cold walk. The bool is false when the budget
+// interrupts the walk.
 //
-// The entry point runs monotonicity-collapsed fast scans; walkDeltaFrom
-// is the reference per-mask loop it defers to for test hooks and for the
-// one case the scans cannot patch locally (a shrink dropping a bit,
-// which invalidates closures of every superset).
-//
-// The fast scans rest on two consequences of the realization arrays
-// being exact and therefore monotone (S ⊆ S' implies realized(S) ⊆
+// The scans rest on two consequences of the realization arrays being
+// exact and therefore monotone (S ⊆ S' implies realized(S) ⊆
 // realized(S')):
 //
 //   - The immediate-submask closure collapses to single array words:
@@ -193,14 +187,14 @@ func immediateClosure(realized []uint64, mask, full uint64) uint64 {
 //     of them is decided without a solve. The certificates are made
 //     under the mutated capacities, so they live for this walk only.
 //
-// Final words are bit-identical to the reference loop's in every case —
-// each bit is either copied from an exact parent word or re-derived by
-// an exact max-flow solve — and the charge totals are identical because
-// both paths charge 2·|𝒟| per visited mask on the same cadence. A
-// shrink whose re-proof fails hands the remaining masks to the
-// reference loop instead of patching closures.
+// Every bit of a final word is either copied from an exact parent or
+// twin word or re-derived by an exact max-flow solve. The j-less twins
+// never change during a walk, and the shrink scan ascends, so the
+// immediate closure it runs reads only smaller masks, which are already
+// final — a word re-decided early in the scan is exactly what the
+// closures of its supersets need.
 //
-//flowrelvet:hotpath one or two array words per configuration replace the per-mask closure scan, and downward infeasibility certificates replace re-confirming solves; bit-exact against walkDeltaFrom by monotonicity (reviewed: PR-10)
+//flowrelvet:hotpath one or two array words per configuration replace the per-mask closure scan, and downward infeasibility certificates replace re-confirming solves; bit-exact by monotonicity (reviewed: PR-10)
 func walkDelta(f *frontierCtx, w *frontierWorker, out []uint64, j int, mode deltaMode, cur *uint64) ([]uint64, bool) {
 	owned := mode == deltaAdd
 	ensureOwned := func() {
@@ -211,10 +205,6 @@ func walkDelta(f *frontierCtx, w *frontierWorker, out []uint64, j int, mode delt
 	}
 	n := f.ds.Len()
 	certs := newCertTable(n)
-	if f.opt.TestHook != nil {
-		ensureOwned()
-		return out, walkDeltaFrom(f, w, certs, out, j, mode, cur, 0, 0, w.stats.FrontierMaxFlowCalls)
-	}
 	m := len(f.handles)
 	half := uint64(1) << uint(m-1)
 	lowMask := uint64(1)<<uint(j) - 1
@@ -236,6 +226,10 @@ func walkDelta(f *frontierCtx, w *frontierWorker, out []uint64, j int, mode delt
 	if mode == deltaShrink {
 		for ww := uint64(0); ww < half; ww++ {
 			mask := (ww & lowMask) | (ww&^lowMask)<<1 | jBit
+			*cur = mask
+			if f.opt.TestHook != nil {
+				f.opt.TestHook(mask)
+			}
 			checks += int64(step)
 			sinceCheck += step
 			word := out[mask]
@@ -251,25 +245,18 @@ func walkDelta(f *frontierCtx, w *frontierWorker, out []uint64, j int, mode delt
 				prunedClo += int64(bits.OnesCount64(word))
 			default:
 				// Some parent bit is not twin-justified: run the exact
-				// immediate closure for this mask. Bits it cannot justify
-				// are re-proved under the smaller capacity; a failed
-				// re-proof invalidates superset closures, so the reference
-				// loop takes over from the next mask.
+				// immediate closure for this mask and re-prove the bits
+				// it cannot justify under the smaller capacity.
 				closure := immediateClosure(out, mask, f.allBits)
 				reused += int64(n) + int64(bits.OnesCount64(f.allBits&^word))
 				prunedClo += int64(bits.OnesCount64(closure))
 				nw := closure
 				if cand := word &^ closure; cand != 0 {
-					*cur = mask
 					nw |= w.decide(f, certs, mask, cand)
 				}
 				if nw != word {
 					ensureOwned()
 					out[mask] = nw
-					if !flush() {
-						return out, false
-					}
-					return out, walkDeltaFrom(f, w, certs, out, j, mode, cur, ww+1, 0, w.stats.FrontierMaxFlowCalls)
 				}
 			}
 			if sinceCheck >= anytime.CheckEvery && !flush() {
@@ -285,6 +272,10 @@ func walkDelta(f *frontierCtx, w *frontierWorker, out []uint64, j int, mode delt
 	for ww := half; ww > 0; {
 		ww--
 		mask := (ww & lowMask) | (ww&^lowMask)<<1 | jBit
+		*cur = mask
+		if f.opt.TestHook != nil {
+			f.opt.TestHook(mask)
+		}
 		checks += int64(step)
 		sinceCheck += step
 		var word uint64
@@ -303,7 +294,6 @@ func walkDelta(f *frontierCtx, w *frontierWorker, out []uint64, j int, mode delt
 				reused += int64(n)
 				prunedClo += int64(bits.OnesCount64(word))
 			}
-			*cur = mask
 			word |= w.decide(f, certs, mask, cand)
 		}
 		if mode == deltaAdd {
@@ -317,88 +307,6 @@ func walkDelta(f *frontierCtx, w *frontierWorker, out []uint64, j int, mode delt
 		}
 	}
 	return out, flush()
-}
-
-// walkDeltaFrom is the reference per-mask delta walk, resumable at an
-// arbitrary compressed index with carried charge state. walkDelta runs it
-// outright when a test hook needs every mask visited in order, and
-// resumes it mid-walk when a shrink drops a bit.
-func walkDeltaFrom(f *frontierCtx, w *frontierWorker, certs certTable, out []uint64, j int, mode deltaMode, cur *uint64, start, sinceCheck uint64, callsMark int64) bool {
-	m := len(f.handles)
-	n := f.ds.Len()
-	half := uint64(1) << uint(m-1)
-	lowMask := uint64(1)<<uint(j) - 1
-	jBit := uint64(1) << uint(j)
-	for ww := start; ww < half; ww++ {
-		mask := (ww & lowMask) | (ww&^lowMask)<<1 | jBit
-		*cur = mask
-		if f.opt.TestHook != nil {
-			f.opt.TestHook(mask)
-		}
-		sinceCheck += 2 * uint64(n)
-		w.stats.RealizationChecks += 2 * int64(n)
-		parentWord := out[mask]
-		var word, candidates uint64
-		var skip bool
-		// Saturation shortcuts — exact consequences of monotonicity, no
-		// closure or capacity scan needed: growing capacity keeps a fully
-		// realized parent mask fully realized; shrinking keeps a fully
-		// unrealized one at zero; and for a new link, a fully realized
-		// j-less twin forces the superset mask to full via the closure.
-		switch mode {
-		case deltaAdd:
-			if tw := out[mask&^jBit]; tw == f.allBits {
-				word, skip = tw, true
-			}
-		case deltaGrow:
-			if parentWord == f.allBits {
-				word, skip = parentWord, true
-			}
-		default: // deltaShrink
-			if parentWord == 0 {
-				word, skip = 0, true
-			}
-		}
-		if skip {
-			w.stats.DeltaReused += 2 * int64(n)
-		} else {
-			closure := immediateClosure(out, mask, f.allBits)
-			w.stats.PrunedClosure += int64(bits.OnesCount64(closure))
-			switch mode {
-			case deltaAdd:
-				// No parent entry exists for this mask; only the closure
-				// transfers. The j-less twin transferred verbatim.
-				word = closure
-				candidates = f.allBits &^ closure
-				w.stats.DeltaReused += int64(n)
-			case deltaGrow:
-				// More capacity never breaks a flow: parent-realized bits
-				// stand. Parent-unrealized bits outside the closure must be
-				// re-decided under the larger capacity.
-				word = parentWord | closure
-				candidates = f.allBits &^ word
-				w.stats.DeltaReused += int64(n) + int64(bits.OnesCount64(parentWord))
-			default: // deltaShrink
-				// Less capacity never creates a flow: parent-unrealized bits
-				// stand (at zero). Parent-realized bits survive via the
-				// closure or must be re-proved under the smaller capacity.
-				word = closure
-				candidates = parentWord &^ closure
-				w.stats.DeltaReused += int64(n) + int64(bits.OnesCount64(f.allBits&^parentWord))
-			}
-		}
-		if candidates != 0 {
-			word |= w.decide(f, certs, mask, candidates)
-		}
-		out[mask] = word
-		if sinceCheck >= anytime.CheckEvery {
-			if !f.opt.Ctl.Charge(sinceCheck, w.stats.FrontierMaxFlowCalls-callsMark) {
-				return false
-			}
-			sinceCheck, callsMark = 0, w.stats.FrontierMaxFlowCalls
-		}
-	}
-	return f.opt.Ctl.Charge(sinceCheck, w.stats.FrontierMaxFlowCalls-callsMark)
 }
 
 // deltaSideState is the warm solver state one delta walk leaves behind for

@@ -253,6 +253,77 @@ func TestMutateBudgetInterruption(t *testing.T) {
 	}
 }
 
+// wideSideInstance has a 13-link source side over four nodes, one cut
+// link x → y and a one-link sink side, with d = 2 so |𝒟| = 1. A
+// touched-side walk then charges 2^13 configurations, twice the
+// amortization grain, while the untouched side's bulk charge is 2.
+func wideSideInstance() (*graph.Graph, graph.Demand, []graph.EdgeID) {
+	b := graph.NewBuilder()
+	b.AddNodes(6) // source side 0..3 (s = 0, x = 3), y = 4, t = 5
+	pairs := [][2]graph.NodeID{{0, 1}, {1, 2}, {2, 3}, {0, 2}, {1, 3}, {0, 3}}
+	for i, pr := range pairs {
+		b.AddEdge(pr[0], pr[1], 1+i%2, 0.1)
+		b.AddEdge(pr[1], pr[0], 1, 0.2)
+	}
+	b.AddEdge(0, 1, 1, 0.3)
+	cut := b.AddEdge(3, 4, 2, 0.05)
+	b.AddEdge(4, 5, 2, 0.1)
+	return b.MustBuild(), graph.Demand{S: 0, T: 5, D: 2}, []graph.EdgeID{cut}
+}
+
+// TestMutateBudgetInterruptsWalk: a budget that admits the untouched
+// side's bulk charge but runs out inside the touched-side walk must stop
+// that walk at its next budget check and fail the mutation with
+// ErrInterrupted — for each walk mode.
+func TestMutateBudgetInterruptsWalk(t *testing.T) {
+	g, dem, cut := wideSideInstance()
+	parent, err := Compile(g, dem, Options{Bottleneck: cut})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parent.SideEdges != [2]int{13, 1} || len(parent.Assignments) != 1 {
+		t.Fatalf("fixture: sides %v, |𝒟| = %d; want [13 1] and 1", parent.SideEdges, len(parent.Assignments))
+	}
+	link := parent.sideLinks[0][0]
+	cases := []struct {
+		name string
+		mut  graph.Mutation
+	}{
+		{"shrink", graph.Mutation{Kind: graph.MutateCapacity, Link: link, Cap: 0}},
+		{"grow", graph.Mutation{Kind: graph.MutateCapacity, Link: link, Cap: 3}},
+		{"add", graph.Mutation{Kind: graph.MutateAdd, U: 1, V: 2, Cap: 2, PFail: 0.1}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g2, remap, err := tc.mut.Apply(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const bulk = 2 // the sink side: 2^1 configurations × |𝒟|
+			ctl := anytime.New(context.Background(), anytime.Budget{MaxConfigs: bulk + 1})
+			visited := 0
+			_, err = MutatePlan(parent, g, g2, dem, tc.mut, remap, Options{
+				Bottleneck: cut,
+				Ctl:        ctl,
+				TestHook:   func(uint64) { visited++ },
+			})
+			if !errors.Is(err, anytime.ErrInterrupted) {
+				t.Fatalf("got %v, want an error wrapping ErrInterrupted", err)
+			}
+			// Half the source side's masks (every link but the cut and
+			// sink links) carry the walked bit; the budget check after the
+			// first 4096 charged configurations stops the walk.
+			walked := 1 << (g2.NumEdges() - 2 - 1)
+			if visited == 0 || visited >= walked {
+				t.Fatalf("walk visited %d of %d masks: the budget did not stop it mid-walk", visited, walked)
+			}
+			if ctl.Configs() <= bulk {
+				t.Fatalf("charged %d configurations: the walk never charged", ctl.Configs())
+			}
+		})
+	}
+}
+
 // TestMutateGrowAfterShrinkWarmState: a cut certificate holds only under
 // the capacities of the walk that made it. The chain shrinks each side
 // link to zero and grows it back, one link after another, so every walk

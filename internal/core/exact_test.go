@@ -148,6 +148,11 @@ func ReliabilityExact(g *graph.Graph, dem graph.Demand, opt Options) (*big.Rat, 
 	if ds.Len() > opt.MaxAssignmentSet {
 		return nil, fmt.Errorf("core: |𝒟| = %d exceeds MaxAssignmentSet %d", ds.Len(), opt.MaxAssignmentSet)
 	}
+	for _, sub := range [2]*graph.Subgraph{bt.Gs, bt.Gt} {
+		if m := sub.G.NumEdges(); m > opt.MaxSideEdges {
+			return nil, fmt.Errorf("core: component has %d links, exceeding MaxSideEdges %d", m, opt.MaxSideEdges)
+		}
+	}
 
 	var stats Stats
 	sideS, err := buildSide(bt.Gs, bt.Gs.NodeOf[dem.S], bt.XS, true, ds, &opt, &stats, 0)

@@ -2,7 +2,7 @@
 // performs exactly the portable loop's per-lane IEEE-754 multiplies and
 // adds in the same order (no FMA contraction), so results are
 // bit-identical across dispatch levels. One [8]float64 lane block is 64
-// bytes: one ZMM register, or a YMM pair.
+// bytes: a YMM register pair.
 
 #include "textflag.h"
 
@@ -25,33 +25,10 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	MOVL DX, hi+4(FP)
 	RET
 
-// func fillStepAVX512(lo, hi *block8, n int, pf, pl *block8)
+// func fillStepAVX(lo, hi *block8, n int, pf, pl *block8)
 //
 // One doubling layer: for n masks, hi[m] = lo[m]·pl then lo[m] = lo[m]·pf
 // (per lane). n ≥ 1.
-TEXT ·fillStepAVX512(SB), NOSPLIT, $0-40
-	MOVQ lo+0(FP), SI
-	MOVQ hi+8(FP), DI
-	MOVQ n+16(FP), CX
-	MOVQ pf+24(FP), AX
-	MOVQ pl+32(FP), BX
-	VMOVUPD (AX), Z1
-	VMOVUPD (BX), Z2
-
-fill512loop:
-	VMOVUPD (SI), Z0
-	VMULPD  Z2, Z0, Z3
-	VMOVUPD Z3, (DI)
-	VMULPD  Z1, Z0, Z3
-	VMOVUPD Z3, (SI)
-	ADDQ    $64, SI
-	ADDQ    $64, DI
-	DECQ    CX
-	JNZ     fill512loop
-	VZEROUPPER
-	RET
-
-// func fillStepAVX(lo, hi *block8, n int, pf, pl *block8)
 TEXT ·fillStepAVX(SB), NOSPLIT, $0-40
 	MOVQ lo+0(FP), SI
 	MOVQ hi+8(FP), DI
@@ -81,28 +58,9 @@ fillavxloop:
 	VZEROUPPER
 	RET
 
-// func segSumAVX512(dst *block8, probs *block8, perm *uint32, n int)
+// func segSumAVX(dst *block8, probs *block8, perm *uint32, n int)
 //
 // dst = Σ probs[perm[i]] per lane, adding in perm order. n ≥ 1.
-TEXT ·segSumAVX512(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ probs+8(FP), SI
-	MOVQ perm+16(FP), DX
-	MOVQ n+24(FP), CX
-	VXORPD X0, X0, X0
-
-seg512loop:
-	MOVL    (DX), AX
-	SHLQ    $6, AX
-	VADDPD  (SI)(AX*1), Z0, Z0
-	ADDQ    $4, DX
-	DECQ    CX
-	JNZ     seg512loop
-	VMOVUPD Z0, (DI)
-	VZEROUPPER
-	RET
-
-// func segSumAVX(dst *block8, probs *block8, perm *uint32, n int)
 TEXT ·segSumAVX(SB), NOSPLIT, $0-32
 	MOVQ dst+0(FP), DI
 	MOVQ probs+8(FP), SI

@@ -10,9 +10,8 @@ package core
 // to the portable loops below.
 
 const (
-	simdNone   = 0 // portable Go loops
-	simdAVX    = 1 // 256-bit lanes, two registers per block
-	simdAVX512 = 2 // 512-bit lanes, one register per block
+	simdNone = 0 // portable Go loops
+	simdAVX  = 1 // 256-bit lanes, two registers per block
 )
 
 // fillStep8 runs one doubling layer over lane blocks: for every mask,
@@ -21,17 +20,14 @@ const (
 //
 //flowrelvet:hotpath SIMD dispatch for the doubling fill: branch, never allocate (reviewed: PR-8)
 func fillStep8(lo, hi []block8, pf, pl *block8) {
-	switch kernelSIMD {
-	case simdAVX512:
-		fillStepAVX512(&lo[0], &hi[0], len(lo), pf, pl)
-	case simdAVX:
+	if kernelSIMD == simdAVX {
 		fillStepAVX(&lo[0], &hi[0], len(lo), pf, pl)
-	default:
-		fillStepGo(lo, hi, pf, pl)
+		return
 	}
+	fillStepGo(lo, hi, pf, pl)
 }
 
-//flowrelvet:hotpath portable twin of the fill-step vector routines (reviewed: PR-8)
+//flowrelvet:hotpath portable twin of the fill-step vector routine (reviewed: PR-8)
 func fillStepGo(lo, hi []block8, pf, pl *block8) {
 	for mask := range lo {
 		lob := &lo[mask]
@@ -53,17 +49,14 @@ func segSum8(dst *block8, probs []block8, perm []uint32) {
 		*dst = block8{}
 		return
 	}
-	switch kernelSIMD {
-	case simdAVX512:
-		segSumAVX512(dst, &probs[0], &perm[0], len(perm))
-	case simdAVX:
+	if kernelSIMD == simdAVX {
 		segSumAVX(dst, &probs[0], &perm[0], len(perm))
-	default:
-		segSumGo(dst, probs, perm)
+		return
 	}
+	segSumGo(dst, probs, perm)
 }
 
-//flowrelvet:hotpath portable twin of the segment-sum vector routines (reviewed: PR-8)
+//flowrelvet:hotpath portable twin of the segment-sum vector routine (reviewed: PR-8)
 func segSumGo(dst *block8, probs []block8, perm []uint32) {
 	var sum block8
 	for _, mask := range perm {

@@ -5,9 +5,9 @@ package core
 // dispatch level on one machine.
 var kernelSIMD = detectSIMD()
 
-// detectSIMD reports the best supported dispatch level: AVX-512F when the
-// CPU and OS expose ZMM state, plain AVX (VMULPD/VADDPD on YMM need
-// nothing newer) when they expose YMM state, else the portable loops.
+// detectSIMD reports the best supported dispatch level: AVX (VMULPD and
+// VADDPD on YMM need nothing newer) when the CPU and OS expose YMM state,
+// else the portable loops.
 func detectSIMD() int {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 1 {
@@ -24,16 +24,7 @@ func detectSIMD() int {
 	if xcr0&0x6 != 0x6 {
 		return simdNone
 	}
-	level := simdAVX
-	// XCR0 bits 5..7: opmask, ZMM-hi256 and hi16-ZMM state.
-	if maxLeaf >= 7 && xcr0&0xe0 == 0xe0 {
-		_, ebx7, _, _ := cpuid(7, 0)
-		const avx512fBit = 1 << 16
-		if ebx7&avx512fBit != 0 {
-			level = simdAVX512
-		}
-	}
-	return level
+	return simdAVX
 }
 
 // Implemented in kernel_amd64.s.
@@ -43,13 +34,7 @@ func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (lo, hi uint32)
 
 //go:noescape
-func fillStepAVX512(lo, hi *block8, n int, pf, pl *block8)
-
-//go:noescape
 func fillStepAVX(lo, hi *block8, n int, pf, pl *block8)
-
-//go:noescape
-func segSumAVX512(dst *block8, probs *block8, perm *uint32, n int)
 
 //go:noescape
 func segSumAVX(dst *block8, probs *block8, perm *uint32, n int)

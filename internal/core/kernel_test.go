@@ -35,8 +35,11 @@ func TestKernelMatchesScalarCorpus(t *testing.T) {
 				continue
 			}
 		}
+		if plan.ds == nil {
+			continue // trivially-zero plan: nothing to evaluate
+		}
 		if plan.kern == nil {
-			continue // trivially-zero plan: no kernel to compare
+			t.Fatalf("seed %d: |𝒟| = %d plan compiled without a kernel", seed, len(plan.Assignments))
 		}
 		count++
 

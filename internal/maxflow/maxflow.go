@@ -257,6 +257,12 @@ func (nw *Network) Augment(s, t int32, limit int) int {
 	if limit >= 0 {
 		lim = int32(limit)
 	}
+	return int(nw.augment(s, t, lim))
+}
+
+// augment is Augment's Dinic loop without the call count, so a flow
+// repair that runs it more than once still counts as one call.
+func (nw *Network) augment(s, t int32, lim int32) int32 {
 	var total int32
 	for total < lim && nw.bfsLevel(s, t) {
 		nw.iter = nw.iter[:nw.n]
@@ -273,7 +279,7 @@ func (nw *Network) Augment(s, t int32, limit int) int {
 		}
 	}
 	nw.Stats.AugmentUnits += int64(total)
-	return int(total)
+	return total
 }
 
 // MaxFlow resets all flow and computes the s→t max flow, stopping early at
@@ -358,25 +364,59 @@ func (nw *Network) DisableIncremental(h Handle, s, t int32) int {
 		f = -f
 		u, v = nw.arcs[h].to, nw.arcs[h^1].to
 	}
+	var value int32
+	if f != 0 {
+		value = nw.netOut(s)
+	}
 	nw.enabled[h/2] = false
 	nw.arcs[h].cap = 0
 	nw.arcs[h^1].cap = 0
 	if f == 0 {
 		return 0
 	}
-	// Conservation is now violated: u has +f excess, v has -f deficit.
-	// Repair by pushing f units u→v in the residual graph, with a virtual
-	// arc s→t of capacity f acting as the "reduce the flow value" channel:
-	// a repair path through the virtual arc cancels an s⇝u prefix and a
-	// v⇝t suffix of existing flow.
-	vh := nw.addPair(s, t, f, 0)
-	pushed := nw.Augment(u, v, int(f))
-	if int32(pushed) != f {
-		panic("maxflow: internal error: could not repair flow after edge removal")
+	return nw.repair(u, v, f, s, t, value)
+}
+
+// repair restores conservation after f units of flow stopped crossing an
+// edge u→v: u now has f units of excess and v an f-unit deficit. value is
+// the s→t flow value before the edge lost its flow. It returns the units
+// of flow value lost.
+//
+// The flow decomposes into value s→t paths plus cycles (some through s or
+// t). A cycle unit through the edge always has a detour: the rest of its
+// cycle, reversed in the residual graph. A path unit may have none; it is
+// cancelled instead, its s⇝u prefix and v⇝t suffix reversed through a
+// virtual s→t arc. So the repair reroutes first, as far as the residual
+// graph allows, and sends only the remainder through a virtual arc of
+// exactly that capacity. Both pushes succeed whenever value ≥ 0, and the
+// loss is at most the path units through the edge, so the flow value
+// never goes negative. A flow outside that precondition (a caller that
+// pushed t→s) cannot always be repaired; it is reset to zero instead.
+func (nw *Network) repair(u, v, f, s, t, value int32) int {
+	nw.Stats.MaxFlowCalls++
+	rest := f - nw.augment(u, v, f)
+	if rest == 0 {
+		return 0
 	}
-	lost := nw.base[vh] - nw.arcs[vh].cap // flow through the virtual arc
+	vh := nw.addPair(s, t, rest, 0)
+	pushed := nw.augment(u, v, rest)
 	nw.removeLastPair(vh)
-	return int(lost)
+	if pushed != rest {
+		nw.ResetFlow()
+		return int(value)
+	}
+	return int(rest)
+}
+
+// netOut returns the net flow leaving s over the enabled edges.
+func (nw *Network) netOut(s int32) int32 {
+	var out int32
+	for _, ai := range nw.adj[s] {
+		if nw.enabled[ai/2] {
+			out += nw.base[ai] - nw.arcs[ai].cap
+		}
+	}
+	return out
 }
 
 // EnableIncremental switches the edge back on (carrying zero flow); the
@@ -416,14 +456,18 @@ func (nw *Network) SetBaseCapUndirectedIncremental(h Handle, c int, s, t int32) 
 
 // setBaseCapIncremental installs new base capacities (fwd forward, rev
 // backward), clamping the flow currently crossing the edge into the new
-// window and repairing conservation for any excess via the virtual-arc
-// trick of DisableIncremental. Returns the flow units lost.
+// window and repairing conservation for any excess as DisableIncremental
+// does. Returns the flow units lost.
 func (nw *Network) setBaseCapIncremental(h Handle, fwd, rev int32, s, t int32) int {
 	if !nw.enabled[h/2] {
 		nw.base[h], nw.base[h^1] = fwd, rev
 		return 0
 	}
 	f := nw.base[h] - nw.arcs[h].cap // signed flow in the forward direction
+	var value int32
+	if f > fwd || -f > rev {
+		value = nw.netOut(s)
+	}
 	nw.base[h], nw.base[h^1] = fwd, rev
 	var excess, u, v int32 // excess runs u→v through the edge
 	switch {
@@ -439,17 +483,7 @@ func (nw *Network) setBaseCapIncremental(h Handle, fwd, rev int32, s, t int32) i
 	if excess == 0 {
 		return 0
 	}
-	// Conservation is violated by the clamp: u has +excess, v has
-	// -excess. Repair exactly as DisableIncremental does, with a virtual
-	// s→t arc as the "reduce the flow value" channel.
-	vh := nw.addPair(s, t, excess, 0)
-	pushed := nw.Augment(u, v, int(excess))
-	if int32(pushed) != excess {
-		panic("maxflow: internal error: could not repair flow after capacity change")
-	}
-	lost := nw.base[vh] - nw.arcs[vh].cap
-	nw.removeLastPair(vh)
-	return int(lost)
+	return nw.repair(u, v, excess, s, t, value)
 }
 
 // RetargetIncremental transitions the enabled states of the edges in

@@ -1,6 +1,7 @@
 package maxflow
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -398,58 +399,112 @@ func TestPanics(t *testing.T) {
 // exercised. Every fourth step is a per-edge capacity delta (the churn
 // mutation) applied through SetBaseCapUndirectedIncremental, so the walk
 // also proves a feasible flow survives capacity shrink/grow, not just
-// enable/disable. Conservation must hold after every hop.
+// enable/disable. After every retarget or capacity delta the tracked flow
+// value must be non-negative and equal the network's own, and
+// conservation must hold after every hop.
 func TestQuickRetargetIncremental(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(7)
-		m := 1 + rng.Intn(14)
-		nw, hs := randomNetwork(rng, n, m)
-		ref := nw.Clone()
-		s, tt := int32(0), int32(n-1)
-
-		// Frontier start state: everything disabled, zero flow.
-		for _, h := range hs {
-			nw.SetEnabled(h, false)
-		}
-		nw.ResetFlow()
-		cur, value := uint64(0), 0
-		all := uint64(1)<<uint(len(hs)) - 1
-
-		for step := 0; step < 24; step++ {
-			if step%4 == 3 {
-				// Capacity delta on a random edge, live or not: shrinking
-				// below the crossing flow must repair and report the loss.
-				i := rng.Intn(len(hs))
-				c := rng.Intn(5)
-				value -= nw.SetBaseCapUndirectedIncremental(hs[i], c, s, tt)
-				ref.SetBaseCapUndirected(hs[i], c)
-			} else {
-				var target uint64
-				if step%3 == 0 {
-					// Popcount-adjacent hop, the common case in the engine.
-					target = cur ^ (uint64(1) << uint(rng.Intn(len(hs))))
-				} else {
-					target = rng.Uint64() & all
-				}
-				value = nw.RetargetIncremental(hs, cur, target, s, tt, value)
-				cur = target
-			}
-			value += nw.Augment(s, tt, -1)
-			if v, err := nw.CheckConservation(s, tt); err != nil || v != value {
-				return false
-			}
-			for i, h := range hs {
-				ref.SetEnabled(h, cur&(1<<uint(i)) != 0)
-			}
-			if want := ref.MaxFlow(s, tt, -1); want != value {
-				return false
-			}
+		if err := retargetWalk(seed); err != nil {
+			t.Logf("seed %#x: %v", uint64(seed), err)
+			return false
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRetargetIncrementalPinnedSeeds replays walks that once broke the
+// repair. Seed 0x25e1d266e1b25b40 (4 nodes, 13 links, s = 0, t = 3)
+// disables link {1,3} while it carries one unit of an s–t path and one
+// unit of a cycle through t; a repair that routed both through its
+// virtual s→t arc left a flow of value −1 behind, and the next disable
+// panicked trying to cancel it.
+func TestRetargetIncrementalPinnedSeeds(t *testing.T) {
+	seed := int64(0x25e1d266e1b25b40)
+	if err := retargetWalk(seed); err != nil {
+		t.Fatalf("seed %#x: %v", uint64(seed), err)
+	}
+}
+
+// retargetWalk runs one TestQuickRetargetIncremental walk.
+func retargetWalk(seed int64) error {
+	rng := rand.New(rand.NewSource(seed))
+	n := 2 + rng.Intn(7)
+	m := 1 + rng.Intn(14)
+	nw, hs := randomNetwork(rng, n, m)
+	ref := nw.Clone()
+	s, tt := int32(0), int32(n-1)
+
+	// Frontier start state: everything disabled, zero flow.
+	for _, h := range hs {
+		nw.SetEnabled(h, false)
+	}
+	nw.ResetFlow()
+	cur, value := uint64(0), 0
+	all := uint64(1)<<uint(len(hs)) - 1
+
+	for step := 0; step < 24; step++ {
+		if step%4 == 3 {
+			// Capacity delta on a random edge, live or not: shrinking
+			// below the crossing flow must repair and report the loss.
+			i := rng.Intn(len(hs))
+			c := rng.Intn(5)
+			value -= nw.SetBaseCapUndirectedIncremental(hs[i], c, s, tt)
+			ref.SetBaseCapUndirected(hs[i], c)
+		} else {
+			var target uint64
+			if step%3 == 0 {
+				// Popcount-adjacent hop, the common case in the engine.
+				target = cur ^ (uint64(1) << uint(rng.Intn(len(hs))))
+			} else {
+				target = rng.Uint64() & all
+			}
+			value = nw.RetargetIncremental(hs, cur, target, s, tt, value)
+			cur = target
+		}
+		v, err := nw.CheckConservation(s, tt)
+		if err != nil {
+			return fmt.Errorf("step %d: after the repair: %v", step, err)
+		}
+		if value < 0 || v != value {
+			return fmt.Errorf("step %d: after the repair the tracked value is %d, the network carries %d", step, value, v)
+		}
+		value += nw.Augment(s, tt, -1)
+		if v, err := nw.CheckConservation(s, tt); err != nil || v != value {
+			return fmt.Errorf("step %d: after Augment the tracked value is %d, the network carries %d (%v)", step, value, v, err)
+		}
+		for i, h := range hs {
+			ref.SetEnabled(h, cur&(1<<uint(i)) != 0)
+		}
+		if want := ref.MaxFlow(s, tt, -1); want != value {
+			return fmt.Errorf("step %d: incremental max flow %d, from scratch %d", step, value, want)
+		}
+	}
+	return nil
+}
+
+// A flow of negative value (pushed t→s) breaks the repair's
+// precondition: the only way to restore conservation after its edge goes
+// is to cancel a t→s path, which the virtual s→t arc cannot do. The
+// repair must reset the flow, report the whole value as lost and never
+// panic.
+func TestDisableIncrementalNegativeFlowResets(t *testing.T) {
+	nw := New(3) // s = 0, t = 1, relay 2
+	nw.AddUndirected(1, 2, 1)
+	back := nw.AddUndirected(2, 0, 1)
+	if got := nw.Augment(1, 0, -1); got != 1 {
+		t.Fatalf("t→s push = %d, want 1", got)
+	}
+	if v, err := nw.CheckConservation(0, 1); err != nil || v != -1 {
+		t.Fatalf("before: value %d err %v, want -1", v, err)
+	}
+	if lost := nw.DisableIncremental(back, 0, 1); lost != -1 {
+		t.Fatalf("lost = %d, want -1 (the whole value)", lost)
+	}
+	if v, err := nw.CheckConservation(0, 1); err != nil || v != 0 {
+		t.Fatalf("after: value %d err %v, want a reset flow", v, err)
 	}
 }
 

@@ -96,10 +96,10 @@ type SolveStats struct {
 	FrontierMaxFlowCalls int64 `json:"frontier_max_flow_calls"`
 	// KernelTerms / KernelSegments / KernelLanes describe the compiled
 	// evaluate-phase kernel of the answering plan (core engine only; all
-	// zero when the instance stays on the scalar evaluator): flattened
-	// inclusion–exclusion terms, realized-mask segments across both
-	// sides, and the batch block width. Reported on cache hits too — the
-	// cached plan's tables did this call's aggregation.
+	// zero only for a trivial plan, whose cut cannot carry the demand):
+	// flattened inclusion–exclusion terms, realized-mask segments across
+	// both sides, and the batch block width. Reported on cache hits too —
+	// the cached plan's tables did this call's aggregation.
 	KernelTerms    int64 `json:"kernel_terms"`
 	KernelSegments int64 `json:"kernel_segments"`
 	KernelLanes    int64 `json:"kernel_lanes"`

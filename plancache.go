@@ -337,15 +337,36 @@ func coreOptions(cfg Config, ctl *anytime.Ctl) core.Options {
 
 // planFor returns the compiled plan for (g, dem, cfg), from cache when the
 // structure was compiled before, compiling (and caching) otherwise. The
-// second return reports a cache hit. Concurrent calls for the same
-// structure are deduplicated within its shard: one leader compiles, the
-// rest wait for its plan (each saved compile increments the dedup
-// counter). If the leader fails — typically a budget or cancellation
-// error scoped to *its* controller — waiters retry with their own, so one
-// caller's tight budget cannot fail another's compile.
+// second return reports a cache hit.
 func planFor(ctl *anytime.Ctl, g *Graph, dem Demand, cfg Config) (*core.Plan, bool, error) {
+	return cachedPlan(ctl, g, dem, cfg, func() (*core.Plan, error) {
+		return core.Compile(g, dem, coreOptions(cfg, ctl))
+	})
+}
+
+// planForMutate is planFor for a mutation successor: the mutated graph's
+// own structural key is looked up first — churn cycles (a peer leaves and
+// rejoins, a capacity flaps back) resolve to cache hits with zero compile
+// work — and on a miss the leader runs the delta compiler against the
+// parent plan instead of a cold compile. The child is cached under its
+// own key, so it never aliases the parent's entry and later CompilePlan
+// calls on the mutated structure hit it directly.
+func planForMutate(ctl *anytime.Ctl, parent *core.Plan, gOld, g *Graph, dem Demand, cfg Config, mut Mutation, remap []EdgeID) (*core.Plan, bool, error) {
+	return cachedPlan(ctl, g, dem, cfg, func() (*core.Plan, error) {
+		return core.MutatePlan(parent, gOld, g, dem, mut, remap, coreOptions(cfg, ctl))
+	})
+}
+
+// cachedPlan is the lookup planFor and planForMutate share; compile builds
+// the plan on a miss. Concurrent calls for the same structure are
+// deduplicated within its shard: one leader compiles, the rest wait for
+// its plan (each saved compile increments the dedup counter). If the
+// leader fails — typically a budget or cancellation error scoped to *its*
+// controller — waiters retry with their own, so one caller's tight budget
+// cannot fail another's compile.
+func cachedPlan(ctl *anytime.Ctl, g *Graph, dem Demand, cfg Config, compile func() (*core.Plan, error)) (*core.Plan, bool, error) {
 	if planCache.off.Load() {
-		p, err := core.Compile(g, dem, coreOptions(cfg, ctl))
+		p, err := compile()
 		return p, false, err
 	}
 	key := planKey(g, dem, cfg)
@@ -372,53 +393,7 @@ func planFor(ctl *anytime.Ctl, g *Graph, dem Demand, cfg Config) (*core.Plan, bo
 			continue
 		}
 
-		p, err := core.Compile(g, dem, coreOptions(cfg, ctl))
-		fl.plan, fl.err = p, err
-		shard.publish(key, p, err)
-		close(fl.done)
-		if err != nil {
-			return nil, false, err
-		}
-		return p, false, nil
-	}
-}
-
-// planForMutate is planFor for a mutation successor: the mutated graph's
-// own structural key is looked up first — churn cycles (a peer leaves and
-// rejoins, a capacity flaps back) resolve to cache hits with zero compile
-// work — and on a miss the leader runs the delta compiler against the
-// parent plan instead of a cold compile. The child is cached under its
-// own key, so it never aliases the parent's entry and later CompilePlan
-// calls on the mutated structure hit it directly.
-func planForMutate(ctl *anytime.Ctl, parent *core.Plan, gOld, g *Graph, dem Demand, cfg Config, mut Mutation, remap []EdgeID) (*core.Plan, bool, error) {
-	if planCache.off.Load() {
-		p, err := core.MutatePlan(parent, gOld, g, dem, mut, remap, coreOptions(cfg, ctl))
-		return p, false, err
-	}
-	key := planKey(g, dem, cfg)
-	shard := planCache.shardFor(key)
-	for {
-		p, hit, fl, leader := shard.acquire(key)
-		if hit {
-			return p, true, nil
-		}
-		if !leader {
-			select {
-			case <-fl.done:
-			case <-ctl.Context().Done():
-				err := ctl.Err()
-				if err == nil {
-					err = ctl.Context().Err()
-				}
-				return nil, false, err
-			}
-			if fl.err == nil {
-				return fl.plan, true, nil
-			}
-			continue
-		}
-
-		p, err := core.MutatePlan(parent, gOld, g, dem, mut, remap, coreOptions(cfg, ctl))
+		p, err := compile()
 		fl.plan, fl.err = p, err
 		shard.publish(key, p, err)
 		close(fl.done)
