@@ -406,7 +406,7 @@ func BenchmarkChain(b *testing.B) {
 		if blocks <= 4 {
 			b.Run(fmt.Sprintf("core/blocks=%d", blocks), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := core.Reliability(o.G, dem, core.Options{Bottleneck: cuts[0], MaxSideEdges: 40}); err != nil {
+					if _, err := core.Reliability(o.G, dem, core.Options{Bottleneck: cuts[0], MaxSideEdges: 26}); err != nil {
 						b.Fatal(err)
 					}
 				}

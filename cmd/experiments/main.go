@@ -672,7 +672,7 @@ func e11() {
 		tCoreS := "-"
 		agree := true
 		t1 := time.Now()
-		cr, err := core.Reliability(o.G, dem, core.Options{Bottleneck: cuts[0], MaxSideEdges: 40})
+		cr, err := core.Reliability(o.G, dem, core.Options{Bottleneck: cuts[0], MaxSideEdges: 26})
 		if err == nil {
 			tCoreS = time.Since(t1).Round(time.Microsecond).String()
 			agree = agree && abs(cr.Reliability-ch.Reliability) < 1e-9

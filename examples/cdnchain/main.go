@@ -39,7 +39,7 @@ func main() {
 		if blocks <= 5 {
 			t1 := time.Now()
 			rep, err := flowrel.Compute(o.G, dem, flowrel.Config{
-				Engine: flowrel.EngineCore, Bottleneck: cuts[0], MaxSideEdges: 40,
+				Engine: flowrel.EngineCore, Bottleneck: cuts[0], MaxSideEdges: 26,
 			})
 			if err == nil {
 				tCore = time.Since(t1).Round(time.Microsecond).String()

@@ -48,15 +48,10 @@ var allowlist = map[string][]allowance{
 	// walkDelta: the realization array flows out through the result (the
 	// walk copies-on-first-write, so the caller can share the parent's
 	// array pointer-wise after a no-op walk — returning the slice is the
-	// point), and the inlined certificate table (newCertTable: list
-	// headers plus one backing array) is two small allocations per
-	// mutation walk, amortized over the side's 2^(m-1) configurations.
-	// ensureOwned's clone only fires when a word actually changes, in
+	// point). The clone only fires when a word actually changes, in
 	// which case the array had to be materialized anyway.
 	"core.walkDelta": allow(
 		`^leaking param: out to result ~r0 level=0$`,
-		`^make\(\[\]uint64, n \* 32\) escapes to heap$`,
-		`^make\(certTable, n\) escapes to heap$`,
 	),
 
 	// runPool: the worker closure, the shared counter, the WaitGroup and

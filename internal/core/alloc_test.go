@@ -11,7 +11,20 @@ import (
 // a GC emptying a sync.Pool mid-measurement, which shows up as a
 // fractional average over the 200 runs.
 
+// skipUnderRace skips an allocation count under the race detector. Its
+// runtime drops one sync.Pool.Put in four on purpose, so every few
+// calls a pooled scratch is rebuilt (six objects), and a steady-state
+// Eval or EvalScalar averages about 1.5 allocations per op there while
+// it makes none in a normal build, which holds the contract.
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("the race runtime drops a quarter of sync.Pool.Put calls, so pooled scratch is reallocated; the non-race run checks zero allocations")
+	}
+}
+
 func TestPlanEvalZeroAllocs(t *testing.T) {
+	skipUnderRace(t)
 	g, dem, cut := twoBottleneck()
 	plan, err := Compile(g, dem, Options{Bottleneck: cut})
 	if err != nil {
@@ -32,6 +45,7 @@ func TestPlanEvalZeroAllocs(t *testing.T) {
 }
 
 func TestEvalBatchIntoZeroAllocs(t *testing.T) {
+	skipUnderRace(t)
 	g, dem, cut := twoBottleneck()
 	plan, err := Compile(g, dem, Options{Bottleneck: cut})
 	if err != nil {
@@ -59,6 +73,7 @@ func TestEvalBatchIntoZeroAllocs(t *testing.T) {
 // EvalScalar, the reference the kernels are held to, keeps the same
 // contract on its pooled evalScratch.
 func TestEvalScalarPathZeroAllocs(t *testing.T) {
+	skipUnderRace(t)
 	g, dem, cut := twoBottleneck()
 	plan, err := Compile(g, dem, Options{Bottleneck: cut})
 	if err != nil {

@@ -17,12 +17,12 @@
 //     by the probability p_{E”} of that configuration (Eq. 2–3).
 //
 // Each phase has one production path. Step 3 is an ascending walk that
-// decides most pairs without a max-flow call (frontier.go), and step 4
-// aggregates each side once and applies a superset-zeta transform, so
-// every inclusion–exclusion term is a table lookup. The paper-literal
-// forms — a dense walk that solves every pair from scratch and the
-// subset-scan ACCUMULATION — are the test oracles these paths are held
-// to (oracle_test.go).
+// decides 64 configurations per machine word, most of them without a
+// max-flow call (frontier.go), and step 4 aggregates each side once and
+// applies a superset-zeta transform, so every inclusion–exclusion term
+// is a table lookup. The paper-literal forms — a dense walk that solves
+// every pair from scratch and the subset-scan ACCUMULATION — are the
+// test oracles these paths are held to (oracle_test.go).
 package core
 
 import (
@@ -60,7 +60,8 @@ type Options struct {
 	// callers fall back to an engine that can certify partial mass.
 	Ctl *anytime.Ctl
 	// TestHook, when set, is called with each side configuration mask just
-	// before its feasibility checks. Tests use it to inject faults.
+	// before the feasibility checks of its word of 64 masks. Tests use it
+	// to inject faults.
 	TestHook func(configIndex uint64)
 }
 
@@ -218,19 +219,20 @@ func planResult(plan *Plan) (Result, error) {
 // t, in component node IDs); ends are the component-side endpoints of the
 // bottleneck links (x_i or y_i); toSink selects the G_s orientation
 // (route from terminal to the bottleneck endpoints) versus G_t (from the
-// endpoints to the terminal).
-func buildSide(sub *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, toSink bool, ds *assign.Set, opt *Options, st *Stats, sideIdx int) ([]uint64, error) {
+// endpoints to the terminal). It also returns the walk's rows, the same
+// array as one bit row per assignment.
+func buildSide(sub *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, toSink bool, ds *assign.Set, opt *Options, st *Stats, sideIdx int) (realized, rows []uint64, err error) {
 	m := sub.G.NumEdges()
 	buildStart := time.Now()
 	callsBefore := st.MaxFlowCalls
 
-	realized := make([]uint64, uint64(1)<<uint(m))
+	realized = make([]uint64, uint64(1)<<uint(m))
 	st.SideConfigs[sideIdx] = uint64(1) << uint(m)
-	if err := walkFrontier(newFrontierCtx(sub, terminal, ends, toSink, ds, opt), realized, st); err != nil {
-		return nil, err
+	if rows, err = walkFrontier(newFrontierCtx(sub, terminal, ends, toSink, ds, opt), realized, st); err != nil {
+		return nil, nil, err
 	}
 	if opt.Ctl.Stopped() {
-		return nil, fmt.Errorf("core: side-array construction interrupted: %w", opt.Ctl.Err())
+		return nil, nil, fmt.Errorf("core: side-array construction interrupted: %w", opt.Ctl.Err())
 	}
 	if tr := opt.Ctl.Tracer(); tr != nil {
 		tr.OnPhase(stats.PhaseEvent{
@@ -241,7 +243,7 @@ func buildSide(sub *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, 
 			MaxFlowCalls: st.MaxFlowCalls - callsBefore,
 		})
 	}
-	return realized, nil
+	return realized, rows, nil
 }
 
 // sideProto builds the prototype max-flow network for one component: the

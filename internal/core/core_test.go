@@ -244,11 +244,11 @@ func TestQuickCoreMatchesNaive(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := Reliability(g, dem, Options{Bottleneck: cut, MaxAssignmentSet: 62})
+		res, err := Reliability(g, dem, Options{Bottleneck: cut})
 		if err != nil {
 			// The planted cut can fail minimality if a random side
 			// link shortcuts it; fall back to discovery.
-			res, err = Reliability(g, dem, Options{MaxAssignmentSet: 62})
+			res, err = Reliability(g, dem, Options{})
 			if err != nil {
 				return true // no small cut found: out of scope
 			}
@@ -276,7 +276,7 @@ func TestQuickDiscoveredCutMatchesNaive(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := Reliability(g, dem, Options{MaxBottleneck: 3, MaxAssignmentSet: 62})
+		res, err := Reliability(g, dem, Options{MaxBottleneck: 3})
 		if err != nil {
 			return true // no usable cut; fine
 		}
@@ -318,7 +318,7 @@ func TestLargeScale(t *testing.T) {
 	if g.NumEdges() > 40 {
 		t.Skipf("instance has %d links; generator drifted", g.NumEdges())
 	}
-	res, err := Reliability(g, dem, Options{Bottleneck: cut, MaxSideEdges: 24, MaxAssignmentSet: 62})
+	res, err := Reliability(g, dem, Options{Bottleneck: cut, MaxSideEdges: 24})
 	if err != nil {
 		// The planted cut may fail minimality for this seed; that would be
 		// a generator artifact, not an engine bug.

@@ -3,7 +3,6 @@ package core
 import (
 	"math/bits"
 
-	"flowrel/internal/anytime"
 	"flowrel/internal/graph"
 	"flowrel/internal/mincut"
 )
@@ -35,7 +34,7 @@ import (
 // Budget parity: a cold compile charges its Ctl exactly
 // (2^{|E_s|} + 2^{|E_t|})·|𝒟| configurations — one per (assignment,
 // configuration) pair, pruned or solved. The delta path charges the same
-// totals (bulk for transferred regions, per-mask for walked ones), so an
+// totals (bulk for transferred regions, per word for walked ones), so an
 // anytime budget buys the same configuration count either way; only the
 // max-flow call count differs, which is the point.
 
@@ -141,172 +140,143 @@ func extractRemovedInto(dst, src []uint64, j int) {
 	}
 }
 
-// immediateClosure ORs the realization words of the mask's immediate
-// submasks (drop one live link). When the walk visits masks in an order
-// where every immediate submask is already final, the result is exactly
-// the set of assignments realized by some proper submask — the superset
-// closure the frontier engine computes layer by layer.
-//
-// full stops the scan as soon as the closure saturates — every assignment
-// is already covered, so further submask words cannot add bits.
-//
-//flowrelvet:hotpath one uint64 OR per live link on the delta walk's feasibility boundary (reviewed: PR-10)
-func immediateClosure(realized []uint64, mask, full uint64) uint64 {
-	var w uint64
-	for mm := mask; mm != 0; mm &= mm - 1 {
-		w |= realized[mask&^(mm&-mm)]
-		if w == full {
-			break
-		}
-	}
-	return w
-}
-
 // walkDelta re-decides the touched-side configurations that contain the
 // mutated link (side bit j). out must already hold the transferred
 // entries: the low half for add, or the parent's own array for capacity
 // modes — capacity walks copy-on-first-write, so the returned slice IS
 // the parent array when no word changed (the caller shares it
-// pointer-wise) and a private copy otherwise. Each visited mask charges
+// pointer-wise) and a private copy otherwise. ww holds the rows, set up
+// from the parent side's by newWordWalk; they follow the same
+// copy-on-first-write and stay in ww.rows. Each visited mask charges
 // for itself and its j-less twin, keeping the side's total at 2^m·|𝒟|
 // exactly as a cold build would charge, and is handed to opt.TestHook
-// first, as in the cold walk. The bool is false when the budget
-// interrupts the walk.
+// before its word, as in the cold walk. The bool is false when the
+// budget interrupts the walk.
 //
-// The scans rest on two consequences of the realization arrays being
-// exact and therefore monotone (S ⊆ S' implies realized(S) ⊆
-// realized(S')):
+// The walk decides the cold walk's row words (frontier.go). A walked
+// word is a whole word when j is a high link, else the half of every
+// word whose bit j is set; the twin of a walked bit is then the word
+// without link j, or the same word's bit 2^j lower. The scans rest on
+// two consequences of the realization arrays being exact and therefore
+// monotone (S ⊆ S' implies realized(S) ⊆ realized(S')):
 //
-//   - The immediate-submask closure collapses to single array words:
-//     for grow the closure is contained in parent[mask], for add it
-//     equals the j-less twin, and for shrink no bit needs re-proving
-//     when parent[mask] ⊆ twin.
-//   - Infeasibility certifies through the cut. Every failed solve of
-//     the walk records the links crossing its minimum cut that the
-//     solved mask lacks (frontier.go); a later candidate enabling none
-//     of them is decided without a solve. The certificates are made
-//     under the mutated capacities, so they live for this walk only.
-//
-// Every bit of a final word is either copied from an exact parent or
-// twin word or re-derived by an exact max-flow solve. The j-less twins
-// never change during a walk, and the shrink scan ascends, so the
-// immediate closure it runs reads only smaller masks, which are already
-// final — a word re-decided early in the scan is exactly what the
-// closures of its supersets need.
+//   - Parent and twin rows bracket the new one. Grow keeps the parent's
+//     realized bits and decides the rest; add keeps the twin's realized
+//     bits and decides the rest; shrink keeps the parent's unrealized
+//     bits and re-decides parent &^ closure, where the closure (which
+//     contains the twin) is the cold walk's. Shrink ascends, so the
+//     words its closure reads are final; grow and add descend, meeting
+//     the large masks first, whose failed solves leave certificates
+//     with the fewest links.
+//   - Infeasibility certifies through the cut, as in the cold walk. The
+//     certificates are made under the mutated capacities, so they live
+//     for this walk only.
 //
 //flowrelvet:hotpath one or two array words per configuration replace the per-mask closure scan, and downward infeasibility certificates replace re-confirming solves; bit-exact by monotonicity (reviewed: PR-10)
-func walkDelta(f *frontierCtx, w *frontierWorker, out []uint64, j int, mode deltaMode, cur *uint64) ([]uint64, bool) {
+func walkDelta(ww *wordWalk, out []uint64, j int, mode deltaMode, cur *uint64) ([]uint64, bool) {
+	f, n := ww.f, ww.n
 	owned := mode == deltaAdd
-	ensureOwned := func() {
-		if !owned {
-			out = append([]uint64(nil), out...)
-			owned = true
+	walk, wordBit, twinShift := ww.valid, uint64(0), uint(0)
+	if j >= lowLinks {
+		wordBit = 1 << uint(j-lowLinks)
+	} else {
+		walk &^= clearLow[j]
+		twinShift = 1 << uint(j)
+	}
+	per := uint64(bits.OnesCount64(walk))
+	down := mode != deltaShrink
+	st := &ww.w.stats
+	for k := uint64(0); k < ww.words; k++ {
+		wi := k
+		if down {
+			wi = ww.words - 1 - k
 		}
-	}
-	n := f.ds.Len()
-	certs := newCertTable(n)
-	m := len(f.handles)
-	half := uint64(1) << uint(m-1)
-	lowMask := uint64(1)<<uint(j) - 1
-	jBit := uint64(1) << uint(j)
-	step := 2 * uint64(n)
-	var sinceCheck uint64
-	callsMark := w.stats.FrontierMaxFlowCalls
-	var checks, reused, prunedClo int64
-	flush := func() bool {
-		w.stats.RealizationChecks += checks
-		w.stats.DeltaReused += reused
-		w.stats.PrunedClosure += prunedClo
-		checks, reused, prunedClo = 0, 0, 0
-		ok := f.opt.Ctl.Charge(sinceCheck, w.stats.FrontierMaxFlowCalls-callsMark)
-		sinceCheck, callsMark = 0, w.stats.FrontierMaxFlowCalls
-		return ok
-	}
-
-	if mode == deltaShrink {
-		for ww := uint64(0); ww < half; ww++ {
-			mask := (ww & lowMask) | (ww&^lowMask)<<1 | jBit
-			*cur = mask
-			if f.opt.TestHook != nil {
-				f.opt.TestHook(mask)
-			}
-			checks += int64(step)
-			sinceCheck += step
-			word := out[mask]
-			twin := out[mask&^jBit]
-			switch {
-			case word == 0:
-				reused += int64(step)
-			case word&^twin == 0:
-				// Every parent bit is justified by the j-less twin alone:
-				// the closure equals the parent word and nothing is
-				// re-decided.
-				reused += int64(n) + int64(bits.OnesCount64(f.allBits&^word))
-				prunedClo += int64(bits.OnesCount64(word))
-			default:
-				// Some parent bit is not twin-justified: run the exact
-				// immediate closure for this mask and re-prove the bits
-				// it cannot justify under the smaller capacity.
-				closure := immediateClosure(out, mask, f.allBits)
-				reused += int64(n) + int64(bits.OnesCount64(f.allBits&^word))
-				prunedClo += int64(bits.OnesCount64(closure))
-				nw := closure
-				if cand := word &^ closure; cand != 0 {
-					nw |= w.decide(f, certs, mask, cand)
-				}
-				if nw != word {
-					ensureOwned()
-					out[mask] = nw
-				}
-			}
-			if sinceCheck >= anytime.CheckEvery && !flush() {
-				return out, false
-			}
+		if wi&wordBit != wordBit {
+			continue
 		}
-		return out, flush()
-	}
-
-	// Grow and add: top-down scan. The parent words stand in for the
-	// closure, so any order is exact; descending meets the large masks
-	// first, whose failed solves leave certificates with the fewest links.
-	for ww := half; ww > 0; {
-		ww--
-		mask := (ww & lowMask) | (ww&^lowMask)<<1 | jBit
-		*cur = mask
+		base := wi << lowLinks
+		*cur = base
 		if f.opt.TestHook != nil {
-			f.opt.TestHook(mask)
-		}
-		checks += int64(step)
-		sinceCheck += step
-		var word uint64
-		if mode == deltaGrow {
-			word = out[mask]
-		} else {
-			word = out[mask&^jBit]
-		}
-		if cand := f.allBits &^ word; cand == 0 {
-			reused += int64(step)
-		} else {
-			if mode == deltaGrow {
-				reused += int64(n) + int64(bits.OnesCount64(word))
-				prunedClo += int64(bits.OnesCount64(out[mask&^jBit]))
-			} else {
-				reused += int64(n)
-				prunedClo += int64(bits.OnesCount64(word))
+			for r := walk; r != 0; {
+				b := bits.TrailingZeros64(r)
+				if down {
+					b = 63 - bits.LeadingZeros64(r)
+				}
+				r &^= 1 << uint(b)
+				*cur = base | uint64(b)
+				f.opt.TestHook(*cur)
 			}
-			word |= w.decide(f, certs, mask, cand)
 		}
-		if mode == deltaAdd {
-			out[mask] = word
-		} else if word != out[mask] {
-			ensureOwned()
-			out[mask] = word
+		// twin returns a row's twin bits at the walked positions.
+		twin := func(row []uint64) uint64 {
+			if wordBit != 0 {
+				return row[wi&^wordBit]
+			}
+			return (row[wi] &^ walk) << twinShift
 		}
-		if sinceCheck >= anytime.CheckEvery && !flush() {
+		// Grow and add count, as pruned by closure, the twin's realized
+		// bits of every mask with an assignment left to decide.
+		var notFull uint64
+		if down {
+			for a := 0; a < n; a++ {
+				row := ww.row(a)
+				known := twin(row)
+				if mode == deltaGrow {
+					known = row[wi] & walk
+				}
+				notFull |= walk &^ known
+			}
+			if mode == deltaAdd {
+				st.DeltaReused += int64(n) * int64(bits.OnesCount64(walk&^notFull))
+			}
+		}
+		st.DeltaReused += int64(uint64(n) * per)
+		for a := 0; a < n; a++ {
+			row := ww.row(a)
+			old := row[wi]
+			p, tw := old&walk, twin(row)
+			next := p
+			switch mode {
+			case deltaShrink:
+				st.DeltaReused += int64(bits.OnesCount64(walk &^ p))
+				if p&^tw == 0 {
+					// The twin justifies every parent bit: nothing to
+					// re-decide.
+					st.PrunedClosure += int64(bits.OnesCount64(p))
+					break
+				}
+				next = closure(row, wi, old&^walk) & walk
+				st.PrunedClosure += int64(bits.OnesCount64(next))
+				if open := p &^ next; open != 0 {
+					next |= ww.decideWord(a, wi, open, false)
+				}
+			case deltaGrow:
+				st.DeltaReused += int64(bits.OnesCount64(p))
+				st.PrunedClosure += int64(bits.OnesCount64(tw & notFull))
+				if open := walk &^ p; open != 0 {
+					next |= ww.decideWord(a, wi, open, true)
+				}
+			case deltaAdd:
+				st.PrunedClosure += int64(bits.OnesCount64(tw & notFull))
+				next = tw
+				if open := walk &^ tw; open != 0 {
+					next |= ww.decideWord(a, wi, open, true)
+				}
+			}
+			if diff := next ^ p; diff != 0 {
+				if !owned {
+					out, owned = append([]uint64(nil), out...), true
+				}
+				ww.own()
+				ww.row(a)[wi] = old ^ diff
+				flip(out[base:], diff, a)
+			}
+		}
+		if !ww.charge(2*uint64(n)*per, false) {
 			return out, false
 		}
 	}
-	return out, flush()
+	return out, ww.charge(0, true)
 }
 
 // deltaSideState is the warm solver state one delta walk leaves behind for

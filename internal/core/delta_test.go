@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"flowrel/internal/anytime"
@@ -68,6 +69,18 @@ func assertPlansEqual(t *testing.T, seed int64, step int, delta, cold *Plan, cha
 		for m := range a {
 			if a[m] != b[m] {
 				t.Fatalf("seed %d step %d: side %d mask %#x: delta realized %#x, cold %#x", seed, step, side, m, a[m], b[m])
+			}
+		}
+		// A removal leaves the rows unset for the next walk to load;
+		// otherwise they are the cold walk's, word for word.
+		if r := delta.rows[side]; r != nil {
+			if len(r) != len(cold.rows[side]) {
+				t.Fatalf("seed %d step %d: side %d has %d row words delta, %d cold", seed, step, side, len(r), len(cold.rows[side]))
+			}
+			for i := range r {
+				if r[i] != cold.rows[side][i] {
+					t.Fatalf("seed %d step %d: side %d row word %d: delta %#x, cold %#x", seed, step, side, i, r[i], cold.rows[side][i])
+				}
 			}
 		}
 	}
@@ -135,7 +148,7 @@ func TestMutateEquivalenceCorpus(t *testing.T) {
 			continue
 		}
 		ctl := anytime.New(context.Background(), anytime.Budget{})
-		parent, err := Compile(g, dem, Options{MaxAssignmentSet: 62, Ctl: ctl})
+		parent, err := Compile(g, dem, Options{Ctl: ctl})
 		if err != nil {
 			continue
 		}
@@ -150,9 +163,9 @@ func TestMutateEquivalenceCorpus(t *testing.T) {
 				t.Fatalf("seed %d step %d: %v applied to a valid graph: %v", seed, step, mut, err)
 			}
 			ctlCold := anytime.New(context.Background(), anytime.Budget{})
-			cold, errCold := Compile(g2, dem, Options{MaxAssignmentSet: 62, Ctl: ctlCold})
+			cold, errCold := Compile(g2, dem, Options{Ctl: ctlCold})
 			ctlDelta := anytime.New(context.Background(), anytime.Budget{})
-			delta, errDelta := MutatePlan(parent, g, g2, dem, mut, remap, Options{MaxAssignmentSet: 62, Ctl: ctlDelta})
+			delta, errDelta := MutatePlan(parent, g, g2, dem, mut, remap, Options{Ctl: ctlDelta})
 			if errCold != nil {
 				// The mutation broke the instance (disconnected it, or
 				// pushed it over a guard): the delta path must refuse it
@@ -190,7 +203,7 @@ func TestMutateEquivalenceCorpus(t *testing.T) {
 func TestMutateReusesParentWork(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g, dem, _ := plantBottleneck(rng, 3, 5, 2, 2)
-	parent, err := Compile(g, dem, Options{MaxAssignmentSet: 62})
+	parent, err := Compile(g, dem, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,11 +217,11 @@ func TestMutateReusesParentWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta, err := MutatePlan(parent, g, g2, dem, mut, remap, Options{MaxAssignmentSet: 62})
+	delta, err := MutatePlan(parent, g, g2, dem, mut, remap, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Compile(g2, dem, Options{MaxAssignmentSet: 62})
+	cold, err := Compile(g2, dem, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +246,7 @@ func TestMutateReusesParentWork(t *testing.T) {
 func TestMutateBudgetInterruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g, dem, _ := plantBottleneck(rng, 3, 5, 2, 2)
-	parent, err := Compile(g, dem, Options{MaxAssignmentSet: 62})
+	parent, err := Compile(g, dem, Options{})
 	if err != nil || parent.ds == nil {
 		t.Skipf("unusable instance: %v", err)
 	}
@@ -244,7 +257,7 @@ func TestMutateBudgetInterruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctl := anytime.New(context.Background(), anytime.Budget{MaxConfigs: 2})
-	_, err = MutatePlan(parent, g, g2, dem, mut, remap, Options{MaxAssignmentSet: 62, Ctl: ctl})
+	_, err = MutatePlan(parent, g, g2, dem, mut, remap, Options{Ctl: ctl})
 	if err == nil {
 		t.Fatal("exhausted budget produced a plan")
 	}
@@ -324,6 +337,130 @@ func TestMutateBudgetInterruptsWalk(t *testing.T) {
 	}
 }
 
+// TestMutateWordEdges runs each delta walk with its walked bit inside a
+// row word (a link below 6: half of every word is walked) and across
+// words (link 6 and up: whole words), on the 13-link side of
+// wideSideInstance, and holds each step to its cold compile: arrays,
+// rows, kernel tables, Eval bits and charges. An added link is the
+// side's new top bit, so the add inside a word runs on a 3-link side,
+// as does a shrink whose closure needs the walked word's own twin bits.
+// The walk's work counters are exact, so they are pinned too: a change
+// to the solve order or to a counter's definition shows here.
+func TestMutateWordEdges(t *testing.T) {
+	wg, wdem, wcut := wideSideInstance()
+	tg, tdem, tcut := twoBottleneck()
+	cases := []struct {
+		name string
+		g    *graph.Graph
+		dem  graph.Demand
+		cut  []graph.EdgeID
+		side int // index into the parent's source-side links, or -1 for an add
+		cap  int
+		u, v graph.NodeID
+		// FrontierMaxFlowCalls, PrunedCapacity, PrunedClosure, DeltaReused
+		want [4]int64
+	}{
+		{name: "shrink/bit-1", g: tg, dem: tdem, cut: tcut, side: 1, cap: 0, want: [4]int64{3, 2, 3, 40}},
+		{name: "shrink/bit-4", g: wg, dem: wdem, cut: wcut, side: 4, cap: 0, want: [4]int64{4, 509, 2048, 5634}},
+		{name: "shrink/bit-10", g: wg, dem: wdem, cut: wcut, side: 10, cap: 1, want: [4]int64{15, 1660, 2426, 4098}},
+		{name: "grow/bit-4", g: wg, dem: wdem, cut: wcut, side: 4, cap: 2, want: [4]int64{44, 893, 0, 6658}},
+		{name: "grow/bit-8", g: wg, dem: wdem, cut: wcut, side: 8, cap: 2, want: [4]int64{69, 1082, 0, 6658}},
+		{name: "add/bit-3", g: tg, dem: tdem, cut: tcut, side: -1, cap: 2, u: 2, v: 1, want: [4]int64{11, 5, 5, 54}},
+		{name: "add/bit-13", g: wg, dem: wdem, cut: wcut, side: -1, cap: 2, u: 1, v: 2, want: [4]int64{10, 3515, 0, 12802}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := Options{Bottleneck: tc.cut}
+			parent, err := Compile(tc.g, tc.dem, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mut := graph.Mutation{Kind: graph.MutateAdd, U: tc.u, V: tc.v, Cap: tc.cap, PFail: 0.1}
+			if tc.side >= 0 {
+				mut = graph.Mutation{Kind: graph.MutateCapacity, Link: parent.sideLinks[0][tc.side], Cap: tc.cap}
+			}
+			g2, remap, err := mut.Apply(tc.g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := append([]uint64(nil), parent.rows[0]...)
+			ctlDelta := anytime.New(context.Background(), anytime.Budget{})
+			opt.Ctl = ctlDelta
+			delta, err := MutatePlan(parent, tc.g, g2, tc.dem, mut, remap, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, w := range before {
+				if parent.rows[0][i] != w {
+					t.Fatalf("the walk wrote the parent's row word %d", i)
+				}
+			}
+			ctlCold := anytime.New(context.Background(), anytime.Budget{})
+			opt.Ctl = ctlCold
+			cold, err := Compile(g2, tc.dem, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if delta.Stats.DeltaReused == 0 {
+				t.Fatal("the mutation fell back to a cold compile")
+			}
+			if sameWords(delta.realized[0], parent.realized[0]) {
+				t.Fatal("fixture: the mutation changes no configuration of the walked side")
+			}
+			assertPlansEqual(t, 0, 0, delta, cold, ctlDelta.Configs(), ctlCold.Configs())
+			st := delta.Stats
+			if got := [4]int64{st.FrontierMaxFlowCalls, st.PrunedCapacity, st.PrunedClosure, st.DeltaReused}; got != tc.want {
+				t.Fatalf("calls, pruned by capacity, pruned by closure, reused = %v, want %v", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestMutateConcurrentParent: a compiled plan is immutable, so many
+// goroutines may mutate one parent at once. They read its arrays and
+// rows together, each copies them before its first write, and one of
+// them inherits the warm solver state; every result must still equal
+// its cold compile.
+func TestMutateConcurrentParent(t *testing.T) {
+	g, dem, cut := wideSideInstance()
+	opt := Options{Bottleneck: cut}
+	parent, err := Compile(g, dem, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 8
+	var (
+		wg    sync.WaitGroup
+		gs    [workers]*graph.Graph
+		plans [workers]*Plan
+		errs  [workers]error
+	)
+	for i := 0; i < workers; i++ {
+		mut := graph.Mutation{Kind: graph.MutateCapacity, Link: parent.sideLinks[0][i], Cap: i % 3}
+		g2, remap, err := mut.Apply(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gs[i] = g2
+		wg.Add(1)
+		go func(i int, mut graph.Mutation, remap []graph.EdgeID) {
+			defer wg.Done()
+			plans[i], errs[i] = MutatePlan(parent, g, gs[i], dem, mut, remap, opt)
+		}(i, mut, remap)
+	}
+	wg.Wait()
+	for i := 0; i < workers; i++ {
+		if errs[i] != nil {
+			t.Fatalf("worker %d: %v", i, errs[i])
+		}
+		cold, err := Compile(gs[i], dem, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertPlansEqual(t, 0, i, plans[i], cold, 0, 0)
+	}
+}
+
 // TestMutateGrowAfterShrinkWarmState: a cut certificate holds only under
 // the capacities of the walk that made it. The chain shrinks each side
 // link to zero and grows it back, one link after another, so every walk
@@ -333,7 +470,7 @@ func TestMutateBudgetInterruptsWalk(t *testing.T) {
 // must pay, and the step would stop matching its cold compile.
 func TestMutateGrowAfterShrinkWarmState(t *testing.T) {
 	const wantGraphs = 30
-	opt := Options{MaxAssignmentSet: 62}
+	opt := Options{}
 	count := 0
 	for seed := int64(0); count < wantGraphs && seed < 50*wantGraphs; seed++ {
 		rng := rand.New(rand.NewSource(seed))

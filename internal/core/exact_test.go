@@ -81,7 +81,7 @@ func TestQuickExactDecomposition(t *testing.T) {
 		if g.NumEdges() > 14 {
 			return true
 		}
-		exact, err := ReliabilityExact(g, dem, Options{Bottleneck: cut, MaxAssignmentSet: 62})
+		exact, err := ReliabilityExact(g, dem, Options{Bottleneck: cut})
 		if err != nil {
 			return true // planted cut may fail minimality; skip
 		}
@@ -93,7 +93,7 @@ func TestQuickExactDecomposition(t *testing.T) {
 			t.Logf("seed %d: %s != %s", seed, exact.RatString(), want.RatString())
 			return false
 		}
-		fl, err := Reliability(g, dem, Options{Bottleneck: cut, MaxAssignmentSet: 62})
+		fl, err := Reliability(g, dem, Options{Bottleneck: cut})
 		if err != nil {
 			return false
 		}
@@ -155,11 +155,11 @@ func ReliabilityExact(g *graph.Graph, dem graph.Demand, opt Options) (*big.Rat, 
 	}
 
 	var stats Stats
-	sideS, err := buildSide(bt.Gs, bt.Gs.NodeOf[dem.S], bt.XS, true, ds, &opt, &stats, 0)
+	sideS, _, err := buildSide(bt.Gs, bt.Gs.NodeOf[dem.S], bt.XS, true, ds, &opt, &stats, 0)
 	if err != nil {
 		return nil, err
 	}
-	sideT, err := buildSide(bt.Gt, bt.Gt.NodeOf[dem.T], bt.YT, false, ds, &opt, &stats, 1)
+	sideT, _, err := buildSide(bt.Gt, bt.Gt.NodeOf[dem.T], bt.YT, false, ds, &opt, &stats, 1)
 	if err != nil {
 		return nil, err
 	}

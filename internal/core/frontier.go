@@ -14,42 +14,98 @@ import (
 // on one fact: realization is monotone in the link set. Adding a live
 // link never removes an s–t flow, so if configuration S realizes
 // assignment a then every superset of S does, and if S cannot carry a's
-// load then no subset of S can. The walk visits
-// the masks in increasing numeric order, on the calling goroutine, and
-// decides each (assignment, mask) pair by the first of these that
-// applies:
+// load then no subset of S can. Each of those consequences is a set
+// operation, so the walk decides 64 masks per machine word.
 //
-//   - upward (closure): every immediate submask of a mask is numerically
-//     smaller and therefore final, so OR-ing their words
-//     (immediateClosure — one uint64 OR decides all ≤64 assignments at
-//     once) marks exactly the pairs with a realized submask; they are
-//     realized with zero max-flow calls.
+// Layout: assignment j's row holds one bit per side mask; word wi of a
+// row covers masks wi·64 … wi·64+63, so the six low links index a bit
+// inside a word and the rest index the word. A side of m < 6 links has
+// one word of 2^m valid bits. The walk visits the words in increasing
+// order and decides each (assignment, word) by the first of these that
+// applies to a bit:
+//
+//   - upward (closure): a mask is realized when a proper submask is.
+//     Dropping one high link gives an earlier, final word, so OR-ing
+//     those words and closing the result upward inside the word (six
+//     shift-and-OR steps, upClose) marks exactly the masks with a
+//     realized submask in an earlier word.
 //   - capacity bound: Σ capacities of the live links, plus any demand
 //     that enters the super terminal directly at the real terminal,
-//     upper-bounds the max flow; assignments whose load exceeds it are
-//     unrealizable with zero max-flow calls.
+//     upper-bounds the max flow. The high links' sum is one number per
+//     word (capHigh), and a table over the low links gives, per
+//     threshold, the low masks whose sum stays below it (below): one
+//     subtraction and one lookup per (assignment, word).
 //   - cut certificate: a failed solve leaves a minimum cut whose capacity
 //     is the max flow, below the load. The links crossing it that the
 //     solved mask lacks form a certificate A: any mask with mask&A == 0
 //     enables no crossing link the solved mask lacked, so the same cut
-//     holds it below the load. Such pairs are unrealizable with zero
-//     max-flow calls.
-//   - otherwise one warm-started max-flow solve, which on failure records
-//     its certificate.
+//     holds it below the load. In a word disjoint from A's high part
+//     that is one fixed pattern, the low masks disjoint from A's low six
+//     bits.
+//   - otherwise one warm-started max-flow solve per still-open bit,
+//     lowest first, so each assignment's network solves its masks in
+//     ascending order. A realized solve settles the bit's in-word
+//     supersets; a failed one records its certificate and applies it to
+//     the rest of the word.
 //
 // None of these guesses: each is an exact implication of max-flow
 // feasibility, so the resulting array is bit-identical to a dense walk
 // that solves every pair from scratch (the tests' oracle). Budget
 // accounting matches that walk too: every (assignment, configuration)
-// pair is charged whether it was pruned or solved, so anytime budgets
-// and certified partial bounds see |𝒟|·2^m configurations per side. A
-// certificate holds only under the capacities it was made with, so
-// every walk — cold or delta — starts with empty lists.
+// pair is charged, per word, whether it was pruned or solved, so anytime
+// budgets and certified partial bounds see |𝒟|·2^m configurations per
+// side. A certificate holds only under the capacities it was made with,
+// so every walk — cold or delta — starts with empty lists.
 
 // certCap bounds each assignment's certificate list, and with it the
-// containment scan per open pair; past it the least recently used
+// scan per open (assignment, word); past it the least recently used
 // certificate makes room, so the scan never grows past a fixed cost.
 const certCap = 32
+
+// lowLinks is the number of side links that index a bit inside a row
+// word (2^6 = 64 masks per word); the remaining links index the word.
+const lowLinks = 6
+
+// clearLow[i] is the in-word pattern of the low masks that lack link i.
+var clearLow = [lowLinks]uint64{
+	0x5555555555555555,
+	0x3333333333333333,
+	0x0F0F0F0F0F0F0F0F,
+	0x00FF00FF00FF00FF,
+	0x0000FFFF0000FFFF,
+	0x00000000FFFFFFFF,
+}
+
+// upClose closes an in-word pattern upward: the result holds every low
+// mask that has a submask in x.
+func upClose(x uint64) uint64 {
+	x |= (x & clearLow[0]) << 1
+	x |= (x & clearLow[1]) << 2
+	x |= (x & clearLow[2]) << 4
+	x |= (x & clearLow[3]) << 8
+	x |= (x & clearLow[4]) << 16
+	x |= (x & clearLow[5]) << 32
+	return x
+}
+
+// upLow is the in-word pattern of the low masks that contain b.
+func upLow(b int) uint64 {
+	p := ^uint64(0)
+	for r := uint(b); r != 0; r &= r - 1 {
+		p &^= clearLow[bits.TrailingZeros(r)]
+	}
+	return p
+}
+
+// disjointLow is the in-word pattern of the low masks that share no
+// link with a's low six bits.
+func disjointLow(a uint64) uint64 {
+	p := ^uint64(0)
+	for r := a & (1<<lowLinks - 1); r != 0; r &= r - 1 {
+		p &= clearLow[bits.TrailingZeros64(r)]
+	}
+	return p
+}
 
 // frontierCtx carries the per-side inputs of one walk.
 type frontierCtx struct {
@@ -60,9 +116,8 @@ type frontierCtx struct {
 	d          int
 	ds         *assign.Set
 	opt        *Options
-	caps       []int  // per side link, for the capacity bound
-	need       []int  // per assignment: d minus its direct-at-terminal demand
-	allBits    uint64 // low ds.Len() bits set
+	caps       []int // per side link, for the capacity bound
+	need       []int // per assignment: d minus its direct-at-terminal demand
 }
 
 // newFrontierCtx builds the solver context for one side, for the cold
@@ -80,7 +135,6 @@ func newFrontierCtx(sub *graph.Subgraph, terminal graph.NodeID, ends []graph.Nod
 		opt:        opt,
 		caps:       make([]int, len(handles)),
 		need:       sideNeeds(ds, ends, terminal),
-		allBits:    (uint64(1) << uint(ds.Len())) - 1,
 	}
 	for _, e := range sub.G.Edges() {
 		f.caps[e.ID] = e.Cap
@@ -106,13 +160,18 @@ func newFrontierWorker(n int) *frontierWorker {
 	}
 }
 
+// cert is one cut certificate A split at the word boundary: it rules
+// out, in every word disjoint from hi (A's high links), the low masks in
+// lo (those disjoint from A's low links).
+type cert struct{ hi, lo uint64 }
+
 // certTable holds one walk's cut certificates per assignment, most
 // recently used first. The lists share one backing array of certCap
 // slots each, so recording never allocates.
-type certTable [][]uint64
+type certTable [][]cert
 
 func newCertTable(n int) certTable {
-	buf := make([]uint64, n*certCap)
+	buf := make([]cert, n*certCap)
 	t := make(certTable, n)
 	for j := range t {
 		t[j] = buf[j*certCap : j*certCap : (j+1)*certCap]
@@ -120,94 +179,266 @@ func newCertTable(n int) certTable {
 	return t
 }
 
-// covers reports whether a certificate of assignment j rules out mask,
-// moving the hit to the front of the list.
-func (t certTable) covers(j int, mask uint64) bool {
+// prune clears from open the masks of word wi that assignment j's
+// certificates rule out, moving each certificate that clears a mask to
+// the front of the list.
+func (t certTable) prune(j int, wi, open uint64) uint64 {
 	l := t[j]
-	for i, a := range l {
-		if mask&a == 0 {
+	for i, c := range l {
+		if wi&c.hi == 0 && open&c.lo != 0 {
+			open &^= c.lo
 			copy(l[1:i+1], l[:i])
-			l[0] = a
-			return true
+			l[0] = c
+			if open == 0 {
+				break
+			}
 		}
 	}
-	return false
+	return open
 }
 
 // record puts a fresh certificate at the front of assignment j's list,
-// dropping the least recently used one when the list is full.
-func (t certTable) record(j int, a uint64) {
+// dropping the least recently used one when the list is full, and
+// returns it.
+func (t certTable) record(j int, a uint64) cert {
+	c := cert{hi: a >> lowLinks, lo: disjointLow(a)}
 	l := t[j]
 	if len(l) < certCap {
 		l = l[:len(l)+1]
 	}
 	copy(l[1:], l)
-	l[0] = a
+	l[0] = c
 	t[j] = l
+	return c
 }
 
-// walkFrontier runs the ascending walk for one side, filling
-// realized. A panic on the walk (a TestHook fault, say) comes back as
-// the error; interruption is left for the caller to detect via
-// opt.Ctl.Stopped.
-func walkFrontier(f *frontierCtx, realized []uint64, st *Stats) (err error) {
-	n := f.ds.Len()
-	w := newFrontierWorker(n)
+// wordWalk is one walk's state over a side's current links: the rows,
+// the capacity table, the certificate lists and the pending charge.
+type wordWalk struct {
+	f     *frontierCtx
+	w     *frontierWorker
+	certs certTable
+	n     int
+	// words is the number of words per row, and valid the bits of a
+	// word that are masks of the side (all 64 unless m < 6).
+	words uint64
+	valid uint64
+	// rows holds assignment j's row at rows[j*words : (j+1)*words];
+	// shared marks rows borrowed from a parent plan, copied on first
+	// write.
+	rows   []uint64
+	shared bool
+	// capHigh[wi] is the clamped capacity sum of word wi's high links,
+	// and below[t] the low masks whose clamped sum is under t.
+	capHigh []int
+	below   []uint64
+	// pending configurations and max-flow calls not yet charged.
+	pending   uint64
+	callsMark int64
+}
+
+// newWordWalk sets up a walk over the side's current links with empty
+// certificate lists. Its rows start from rows, the parent side's rows:
+// rows of a side one link narrower fill the low half of each row (an
+// added link is the top bit), rows of the same shape are shared, and nil
+// rows are loaded from realized, or left zero when realized is nil too.
+// Capacities are clamped at d: a live link of capacity ≥ d alone meets
+// any assignment's need, so the bound decides the same pairs, and the
+// table stays sized by d even where a link carries capacity 10^9.
+func newWordWalk(f *frontierCtx, w *frontierWorker, rows, realized []uint64) *wordWalk {
+	m, n := len(f.handles), f.ds.Len()
+	ww := &wordWalk{
+		f:         f,
+		w:         w,
+		certs:     newCertTable(n),
+		n:         n,
+		words:     1,
+		valid:     ^uint64(0),
+		callsMark: w.stats.FrontierMaxFlowCalls,
+	}
+	low := min(m, lowLinks)
+	if m > lowLinks {
+		ww.words = 1 << uint(m-lowLinks)
+	} else if m < lowLinks {
+		ww.valid = uint64(1)<<(uint64(1)<<uint(m)) - 1
+	}
+	switch size := uint64(n) * ww.words; {
+	case rows == nil:
+		ww.rows = make([]uint64, size)
+		if realized != nil {
+			ww.load(realized)
+		}
+	case uint64(len(rows)) < size:
+		ww.rows = make([]uint64, size)
+		half := uint64(len(rows) / n)
+		for j := 0; j < n; j++ {
+			copy(ww.row(j), rows[uint64(j)*half:uint64(j+1)*half])
+		}
+	default:
+		ww.rows, ww.shared = rows, true
+	}
+
+	clamped := func(i int) int { return min(f.caps[i], f.d) }
+
+	ww.capHigh = make([]int, ww.words)
+	for wi := uint64(1); wi < ww.words; wi++ {
+		ww.capHigh[wi] = ww.capHigh[wi&(wi-1)] + clamped(lowLinks+bits.TrailingZeros64(wi))
+	}
+	var sums [1 << lowLinks]int
+	maxLow := 0
+	for i := 0; i < low; i++ {
+		maxLow += clamped(i)
+	}
+	ww.below = make([]uint64, min(f.d, maxLow+1)+1)
+	lows := 1 << uint(low) // at most 64
+	for lo := 0; lo < lows; lo++ {
+		if lo > 0 {
+			sums[lo] = sums[lo&(lo-1)] + clamped(bits.TrailingZeros(uint(lo)))
+		}
+		if t := sums[lo] + 1; t < len(ww.below) {
+			ww.below[t] |= 1 << uint(lo)
+		}
+	}
+	for t := 1; t < len(ww.below); t++ {
+		ww.below[t] |= ww.below[t-1]
+	}
+	return ww
+}
+
+// row returns assignment j's row.
+func (ww *wordWalk) row(j int) []uint64 {
+	return ww.rows[uint64(j)*ww.words : uint64(j+1)*ww.words]
+}
+
+// own gives the walk a private copy of borrowed rows before a write.
+func (ww *wordWalk) own() {
+	if ww.shared {
+		ww.rows, ww.shared = append([]uint64(nil), ww.rows...), false
+	}
+}
+
+// load fills the rows from a per-mask realization array, one row word
+// at a time.
+func (ww *wordWalk) load(realized []uint64) {
+	for wi := uint64(0); wi < ww.words; wi++ {
+		blk := realized[wi<<lowLinks : min(uint64(len(realized)), (wi+1)<<lowLinks)]
+		for j := 0; j < ww.n; j++ {
+			var r uint64
+			for i, v := range blk {
+				r |= (v >> (uint(j) & 63) & 1) << (uint(i) & 63)
+			}
+			ww.rows[uint64(j)*ww.words+wi] = r
+		}
+	}
+}
+
+// closure returns the masks of row word wi that have a realized proper
+// submask: the OR of the words that drop one high link (earlier, hence
+// final) and of the final in-word bits keep, closed upward in the word.
+func closure(row []uint64, wi, keep uint64) uint64 {
+	c := keep
+	for hb := wi; hb != 0; hb &= hb - 1 {
+		c |= row[wi&^(hb&-hb)]
+	}
+	return upClose(c)
+}
+
+// flip toggles assignment j's bit in the per-mask words of word
+// realized[0:64] wherever diff is set.
+func flip(realized []uint64, diff uint64, j int) {
+	for ; diff != 0; diff &= diff - 1 {
+		realized[bits.TrailingZeros64(diff)] ^= 1 << uint(j)
+	}
+}
+
+// charge books cfgs (assignment, configuration) pairs and passes the
+// pending total to the Ctl once it reaches the check grain, or at once
+// when final is set. It reports false once the budget stops the walk.
+func (ww *wordWalk) charge(cfgs uint64, final bool) bool {
+	ww.w.stats.RealizationChecks += int64(cfgs)
+	ww.pending += cfgs
+	if !final && ww.pending < anytime.CheckEvery {
+		return true
+	}
+	calls := ww.w.stats.FrontierMaxFlowCalls
+	ok := ww.f.opt.Ctl.Charge(ww.pending, calls-ww.callsMark)
+	ww.pending, ww.callsMark = 0, calls
+	return ok
+}
+
+// walkFrontier runs the ascending word walk for one side, filling
+// realized, and returns the rows. A panic on the walk (a TestHook fault,
+// say) comes back as the error; interruption is left for the caller to
+// detect via opt.Ctl.Stopped.
+func walkFrontier(f *frontierCtx, realized []uint64, st *Stats) (rows []uint64, err error) {
+	w := newFrontierWorker(f.ds.Len())
 	defer foldWorker(st, w, netStats{})
 	cur := uint64(0)
 	defer anytime.RecoverInto(&err, f.opt.Ctl, "core frontier walk", &cur)
-	certs := newCertTable(n)
-	var sinceCheck uint64
-	callsMark := w.stats.FrontierMaxFlowCalls
-	for mask := uint64(0); mask < uint64(len(realized)); mask++ {
-		cur = mask
+	ww := newWordWalk(f, w, nil, nil)
+	per := uint64(bits.OnesCount64(ww.valid))
+	for wi := uint64(0); wi < ww.words; wi++ {
+		base := wi << lowLinks
+		cur = base
 		if f.opt.TestHook != nil {
-			f.opt.TestHook(mask)
-		}
-		sinceCheck += uint64(n)
-		w.stats.RealizationChecks += int64(n)
-		word := immediateClosure(realized, mask, f.allBits)
-		w.stats.PrunedClosure += int64(bits.OnesCount64(word))
-		if cand := f.allBits &^ word; cand != 0 {
-			word |= w.decide(f, certs, mask, cand)
-		}
-		realized[mask] = word
-		if sinceCheck >= anytime.CheckEvery {
-			if !f.opt.Ctl.Charge(sinceCheck, w.stats.FrontierMaxFlowCalls-callsMark) {
-				return nil
+			for b := uint64(0); b < per; b++ {
+				cur = base | b
+				f.opt.TestHook(cur)
 			}
-			sinceCheck, callsMark = 0, w.stats.FrontierMaxFlowCalls
+		}
+		out := realized[base : base+per]
+		for j := 0; j < ww.n; j++ {
+			row := ww.row(j)
+			c := closure(row, wi, 0) & ww.valid
+			w.stats.PrunedClosure += int64(bits.OnesCount64(c))
+			if open := ww.valid &^ c; open != 0 {
+				c |= ww.decideWord(j, wi, open, false)
+			}
+			row[wi] = c
+			flip(out, c, j)
+		}
+		if !ww.charge(uint64(ww.n)*per, false) {
+			return nil, nil
 		}
 	}
-	f.opt.Ctl.Charge(sinceCheck, w.stats.FrontierMaxFlowCalls-callsMark)
-	return nil
+	ww.charge(0, true)
+	return ww.rows, nil
 }
 
-// decide settles the open candidate assignments of one mask — the pairs
-// neither closure nor parent transfer decided — and returns those the
-// mask realizes. Each candidate goes through the capacity bound, then
-// the walk's certificates, then a solve whose failure records a new
-// certificate. Both skips count as PrunedCapacity: each is a cut whose
-// capacity is below the load.
-func (w *frontierWorker) decide(f *frontierCtx, certs certTable, mask, cand uint64) uint64 {
-	capSum := 0
-	for mm := mask; mm != 0; mm &= mm - 1 {
-		capSum += f.caps[bits.TrailingZeros64(mm)]
+// decideWord settles the open bits of assignment j's row word wi — the
+// masks neither closure nor a parent row decided — and returns the
+// masks its solves realized, with their in-word supersets. Capacity and
+// certificate skips count as PrunedCapacity (each is a cut below the
+// load), and so do the masks a failed solve's certificate clears; the
+// supersets a realized solve settles count as PrunedClosure. down takes
+// the highest open bit first, else the lowest.
+func (ww *wordWalk) decideWord(j int, wi, open uint64, down bool) uint64 {
+	f, st := ww.f, &ww.w.stats
+	before := open
+	if t := f.need[j] - ww.capHigh[wi]; t > 0 {
+		open &^= ww.below[min(t, len(ww.below)-1)]
 	}
+	open = ww.certs.prune(j, wi, open)
+	st.PrunedCapacity += int64(bits.OnesCount64(before &^ open))
 	var got uint64
-	for r := cand; r != 0; r &= r - 1 {
-		j := bits.TrailingZeros64(r)
-		if capSum < f.need[j] || certs.covers(j, mask) {
-			w.stats.PrunedCapacity++
-			continue
+	for open != 0 {
+		b := bits.TrailingZeros64(open)
+		if down {
+			b = 63 - bits.LeadingZeros64(open)
 		}
-		if ok, cut := w.solve(f, j, mask); ok {
-			got |= uint64(1) << uint(j)
+		mask := wi<<lowLinks | uint64(b)
+		if ok, cut := ww.w.solve(f, j, mask); ok {
+			up := upLow(b)
+			got |= up
+			st.PrunedClosure += int64(bits.OnesCount64(open&up)) - 1
+			open &^= up
 		} else {
-			certs.record(j, cut&^mask)
+			c := ww.certs.record(j, cut&^mask)
+			st.PrunedCapacity += int64(bits.OnesCount64(open&c.lo)) - 1
+			open &^= c.lo
 		}
 	}
-	return got
+	return got & ww.valid
 }
 
 // solve pays a max-flow call for one surviving (assignment, mask) pair,

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -29,7 +30,7 @@ func TestFrontierEquivalenceCorpus(t *testing.T) {
 		if g.NumEdges() > 14 {
 			continue
 		}
-		if checkFrontierEquivalent(t, seed, g, dem, cut, 0, 14) {
+		if checkFrontierEquivalent(t, seed, g, dem, cut, 0, 14) != nil {
 			count++
 		}
 	}
@@ -49,7 +50,7 @@ func TestFrontierEquivalenceLargeSides(t *testing.T) {
 		k := 1 + rng.Intn(3)
 		d := 1 + rng.Intn(3)
 		g, dem, cut := plantBottleneck(rng, 5+rng.Intn(3), 10+rng.Intn(7), k, d)
-		if checkFrontierEquivalent(t, seed, g, dem, cut, 10, 16) {
+		if checkFrontierEquivalent(t, seed, g, dem, cut, 10, 16) != nil {
 			count++
 		}
 	}
@@ -65,29 +66,29 @@ func TestFrontierEquivalenceLargeSides(t *testing.T) {
 // The pruned pairs cannot exceed the pairs checked. The planted cut can
 // fail minimality; the cut search then picks the split. Once a split is
 // valid, any compile error — a walk panic among them — fails the test.
-// It reports false, checking nothing, when no split exists, when the
-// instance is trivial (its cut cannot carry the demand) or when a side
-// falls outside [minSide, maxSide] links.
-func checkFrontierEquivalent(t *testing.T, seed int64, g *graph.Graph, dem graph.Demand, cut []graph.EdgeID, minSide, maxSide int) bool {
+// It returns the checked plan, or nil, checking nothing, when no split
+// exists, when the instance is trivial (its cut cannot carry the demand)
+// or when a side falls outside [minSide, maxSide] links.
+func checkFrontierEquivalent(t *testing.T, seed int64, g *graph.Graph, dem graph.Demand, cut []graph.EdgeID, minSide, maxSide int) *Plan {
 	t.Helper()
 	bt, err := mincut.Split(g, dem.S, dem.T, cut)
 	if err != nil {
 		bt, err = mincut.Find(g, dem.S, dem.T, 3)
 	}
 	if err != nil {
-		return false
+		return nil
 	}
 	ctl := anytime.New(context.Background(), anytime.Budget{})
-	plan, err := CompileWithBottleneck(g, dem, bt, Options{MaxAssignmentSet: 62, Ctl: ctl})
+	plan, err := CompileWithBottleneck(g, dem, bt, Options{Ctl: ctl})
 	if err != nil {
 		t.Fatalf("seed %d: compile failed on a valid split: %v", seed, err)
 	}
 	if len(plan.Assignments) == 0 {
-		return false
+		return nil
 	}
 	for _, m := range plan.SideEdges {
 		if m < minSide || m > maxSide {
-			return false
+			return nil
 		}
 	}
 	ref := denseRealized(plan, dem)
@@ -115,7 +116,100 @@ func checkFrontierEquivalent(t *testing.T, seed int64, g *graph.Graph, dem graph
 		t.Fatalf("seed %d: pruned %d+%d pairs out of %d checked",
 			seed, st.PrunedCapacity, st.PrunedClosure, st.RealizationChecks)
 	}
-	return true
+	return plan
+}
+
+// TestFrontierWordEdges holds the walk to the dense oracle at the edges
+// of a row word: a side of 5 links fills part of one word, 6 links fill
+// it exactly and 7 links span two, each with a single assignment and
+// with seven or more.
+func TestFrontierWordEdges(t *testing.T) {
+	for _, m := range []int{5, 6, 7} {
+		for _, wide := range []bool{false, true} {
+			name := fmt.Sprintf("%d-links/one-assignment", m)
+			if wide {
+				name = fmt.Sprintf("%d-links/seven-or-more", m)
+			}
+			t.Run(name, func(t *testing.T) {
+				for seed := int64(0); seed < 5000; seed++ {
+					rng := rand.New(rand.NewSource(seed))
+					k, d := 1, 1+rng.Intn(3)
+					if wide {
+						k, d = 3, 3+rng.Intn(2)
+					}
+					g, dem, cut := plantBottleneck(rng, 3+rng.Intn(3), m, k, d)
+					plan := checkFrontierEquivalent(t, seed, g, dem, cut, 1, 9)
+					if plan == nil || (plan.SideEdges[0] != m && plan.SideEdges[1] != m) {
+						continue
+					}
+					if n := len(plan.Assignments); (n == 1 && !wide) || (n >= 7 && wide) {
+						return
+					}
+				}
+				t.Fatal("no instance of this shape in 5000 seeds")
+			})
+		}
+	}
+}
+
+// TestFrontierHugeCapacity: a side link may carry far more than the
+// demand. The capacity bound clamps it at d, so its table stays sized by
+// d, and the arrays still match the dense walk.
+func TestFrontierHugeCapacity(t *testing.T) {
+	checked := 0
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g, dem, cut := plantBottleneck(rng, 4, 8, 2, 2)
+		// Link 0 is the source side's first tree link.
+		g, err := g.WithCapacity(0, 1_000_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if checkFrontierEquivalent(t, seed, g, dem, cut, 0, 14) != nil {
+			checked++
+		}
+	}
+	if checked < 10 {
+		t.Fatalf("only %d of 20 instances compiled", checked)
+	}
+}
+
+// TestWordPatterns checks the in-word set operations against their
+// definitions over the 64 low masks.
+func TestWordPatterns(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		x := rng.Uint64() & rng.Uint64() & rng.Uint64()
+		var want uint64
+		for lo := uint64(0); lo < 64; lo++ {
+			for sub := uint64(0); sub < 64; sub++ {
+				if sub&^lo == 0 && x&(1<<sub) != 0 {
+					want |= 1 << lo
+				}
+			}
+		}
+		if got := upClose(x); got != want {
+			t.Fatalf("upClose(%#x) = %#x, want %#x", x, got, want)
+		}
+	}
+	for b := 0; b < 64; b++ {
+		var up, disjoint uint64
+		for lo := 0; lo < 64; lo++ {
+			if lo&b == b {
+				up |= 1 << lo
+			}
+			if lo&b == 0 {
+				disjoint |= 1 << lo
+			}
+		}
+		if got := upLow(b); got != up {
+			t.Fatalf("upLow(%d) = %#x, want %#x", b, got, up)
+		}
+		// High links of a certificate do not enter its in-word pattern.
+		if got := disjointLow(uint64(b) | 0xABC0); got != disjoint {
+			t.Fatalf("disjointLow(%#x) = %#x, want %#x", uint64(b)|0xABC0, got, disjoint)
+		}
+	}
 }
 
 // TestFrontierCancellation stops the walk mid-build (via the TestHook,
@@ -131,28 +225,52 @@ func TestFrontierCancellation(t *testing.T) {
 	}
 	total := uint64(len(full.Assignments)) * (full.Stats.SideConfigs[0] + full.Stats.SideConfigs[1])
 	t.Run("frontier", func(t *testing.T) {
-		ctl := anytime.New(context.Background(), anytime.Budget{})
-		var visited atomic.Int64
-		opt := Options{
-			Bottleneck: cut,
-			Ctl:        ctl,
-			TestHook: func(uint64) {
-				if visited.Add(1) == 5 {
-					ctl.Stop("test cancellation")
-				}
-			},
-		}
-		_, err := Compile(g, dem, opt)
-		if err == nil {
-			t.Fatal("interrupted compile returned a plan")
-		}
-		if !errors.Is(err, anytime.ErrInterrupted) {
-			t.Fatalf("error does not wrap ErrInterrupted: %v", err)
-		}
-		if ctl.Configs() > total {
-			t.Fatalf("interrupted run charged %d configs, full run charges %d", ctl.Configs(), total)
-		}
+		checkInterrupted(t, g, dem, cut, 5, total)
 	})
+	// On a 13-link side of 128 row words: inside the first word, at its
+	// last mask, just past it, and past the first charge grain.
+	wg, wdem, wcut := wideSideInstance()
+	wfull, err := Reliability(wg, wdem, Options{Bottleneck: wcut})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wfull.SideEdges[0] < 13 {
+		t.Fatalf("fixture: source side has %d links, want ≥ 13", wfull.SideEdges[0])
+	}
+	wtotal := uint64(len(wfull.Assignments)) * (wfull.Stats.SideConfigs[0] + wfull.Stats.SideConfigs[1])
+	for _, stop := range []int64{63, 64, 65, 4097} {
+		t.Run(fmt.Sprintf("word-edge-%d", stop), func(t *testing.T) {
+			checkInterrupted(t, wg, wdem, wcut, stop, wtotal)
+		})
+	}
+}
+
+// checkInterrupted stops a compile after stop visited masks and fails
+// the test unless it returns an error wrapping anytime.ErrInterrupted
+// having charged no more than total, a full run's charge.
+func checkInterrupted(t *testing.T, g *graph.Graph, dem graph.Demand, cut []graph.EdgeID, stop int64, total uint64) {
+	t.Helper()
+	ctl := anytime.New(context.Background(), anytime.Budget{})
+	var visited atomic.Int64
+	opt := Options{
+		Bottleneck: cut,
+		Ctl:        ctl,
+		TestHook: func(uint64) {
+			if visited.Add(1) == stop {
+				ctl.Stop("test cancellation")
+			}
+		},
+	}
+	_, err := Compile(g, dem, opt)
+	if err == nil {
+		t.Fatal("interrupted compile returned a plan")
+	}
+	if !errors.Is(err, anytime.ErrInterrupted) {
+		t.Fatalf("error does not wrap ErrInterrupted: %v", err)
+	}
+	if ctl.Configs() > total {
+		t.Fatalf("interrupted run charged %d configs, full run charges %d", ctl.Configs(), total)
+	}
 }
 
 // TestFrontierTinySides: the ascending walk takes sides of any size,

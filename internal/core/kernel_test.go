@@ -28,9 +28,9 @@ func TestKernelMatchesScalarCorpus(t *testing.T) {
 		k := 1 + rng.Intn(3)
 		d := 1 + rng.Intn(3)
 		g, dem, cut := plantBottleneck(rng, 2+rng.Intn(3), 2+rng.Intn(4), k, d)
-		plan, err := Compile(g, dem, Options{Bottleneck: cut, MaxAssignmentSet: 62})
+		plan, err := Compile(g, dem, Options{Bottleneck: cut})
 		if err != nil {
-			plan, err = Compile(g, dem, Options{MaxAssignmentSet: 62})
+			plan, err = Compile(g, dem, Options{})
 			if err != nil {
 				continue
 			}

@@ -52,6 +52,11 @@ type Plan struct {
 	basePFail []float64         // the graph's probabilities at compile time
 	scratch   sync.Pool         // *evalScratch (EvalScalar)
 
+	// rows holds each side's realized array as the walks keep it: one
+	// bit row per assignment (frontier.go). It is nil where a removal
+	// remapped the array; the next walk of that side loads it.
+	rows [2][]uint64
+
 	// kern is the data-oriented evaluate phase (kernel.go): term tables
 	// and segment groupings flattened at compile time. The compile limits
 	// (checkLimits) guarantee one for every plan with |𝒟| > 0; only a
@@ -160,16 +165,14 @@ func CompileWithBottleneck(g *graph.Graph, dem graph.Demand, bt *mincut.Bottlene
 	p.classes = classes
 
 	// §III-C: per-side realization arrays (all the max-flow work).
-	sideS, err := buildSide(bt.Gs, bt.Gs.NodeOf[dem.S], bt.XS, true, ds, &opt, &p.Stats, 0)
+	p.realized[0], p.rows[0], err = buildSide(bt.Gs, bt.Gs.NodeOf[dem.S], bt.XS, true, ds, &opt, &p.Stats, 0)
 	if err != nil {
 		return nil, err
 	}
-	sideT, err := buildSide(bt.Gt, bt.Gt.NodeOf[dem.T], bt.YT, false, ds, &opt, &p.Stats, 1)
+	p.realized[1], p.rows[1], err = buildSide(bt.Gt, bt.Gt.NodeOf[dem.T], bt.YT, false, ds, &opt, &p.Stats, 1)
 	if err != nil {
 		return nil, err
 	}
-	p.realized[0] = sideS
-	p.realized[1] = sideT
 	p.sideLinks[0] = append([]graph.EdgeID(nil), bt.Gs.ParentEdge...)
 	p.sideLinks[1] = append([]graph.EdgeID(nil), bt.Gt.ParentEdge...)
 
@@ -384,6 +387,7 @@ func mutateCompile(parent *Plan, gOld, g *graph.Graph, dem graph.Demand, mut gra
 	// both plans are immutable after compile). Charge exactly what a cold
 	// enumeration of this side would have charged.
 	p.realized[other] = parent.realized[other]
+	p.rows[other] = parent.rows[other]
 	p.sideLinks[other] = sideNew[other]
 	otherConfigs := uint64(1) << uint(len(sideNew[other]))
 	p.Stats.SideConfigs[other] = otherConfigs
@@ -398,7 +402,7 @@ func mutateCompile(parent *Plan, gOld, g *graph.Graph, dem graph.Demand, mut gra
 	mTouched := len(touchedNew)
 	configs := uint64(1) << uint(mTouched)
 	p.Stats.SideConfigs[touched] = configs
-	var out []uint64
+	var out, rows []uint64
 	var st *deltaSideState
 	switch {
 	case mut.Kind == graph.MutateRemove:
@@ -435,7 +439,7 @@ func mutateCompile(parent *Plan, gOld, g *graph.Graph, dem graph.Demand, mut gra
 		if !opt.Ctl.Charge(configs*n, 0) {
 			return nil, fmt.Errorf("core: delta compile interrupted: %w", opt.Ctl.Err())
 		}
-		out = parent.realized[touched]
+		out, rows = parent.realized[touched], parent.rows[touched]
 		p.Stats.RealizationChecks += int64(configs * n)
 		p.Stats.DeltaReused += int64(configs * n)
 		st = parent.deltaState[touched].Swap(nil)
@@ -486,8 +490,8 @@ func mutateCompile(parent *Plan, gOld, g *graph.Graph, dem graph.Demand, mut gra
 				mode = deltaShrink
 			}
 			// The walk copies-on-first-write: a toggle that changes no
-			// word hands the parent's array back untouched, and the
-			// common no-op case never allocates.
+			// word hands the parent's array and rows back untouched, and
+			// the common no-op case copies neither.
 			out = parent.realized[touched]
 			// Patch the new capacity into the solver context: the
 			// prototype (future clones), the capacity-bound vector and
@@ -507,7 +511,9 @@ func mutateCompile(parent *Plan, gOld, g *graph.Graph, dem graph.Demand, mut gra
 		func() {
 			cur := uint64(0)
 			defer anytime.RecoverInto(&wErr, opt.Ctl, "core delta walk", &cur)
-			out, _ = walkDelta(f, w, out, walkBit, mode, &cur)
+			ww := newWordWalk(f, w, parent.rows[touched], out)
+			out, _ = walkDelta(ww, out, walkBit, mode, &cur)
+			rows = ww.rows
 		}()
 		foldWorker(&p.Stats, w, netBase)
 		if wErr != nil {
@@ -518,6 +524,7 @@ func mutateCompile(parent *Plan, gOld, g *graph.Graph, dem graph.Demand, mut gra
 		return nil, fmt.Errorf("core: delta compile interrupted: %w", opt.Ctl.Err())
 	}
 	p.realized[touched] = out
+	p.rows[touched] = rows
 	p.sideLinks[touched] = touchedNew
 	p.deltaState[touched].Store(st)
 	p.deltaState[other].Store(parent.deltaState[other].Swap(nil))

@@ -55,11 +55,11 @@ func TestPlanEvalMatchesDirect(t *testing.T) {
 		if g.NumEdges() > 14 {
 			continue // keep the naive oracle cheap
 		}
-		opt := Options{Bottleneck: cut, MaxAssignmentSet: 62}
+		opt := Options{Bottleneck: cut}
 		plan, err := Compile(g, dem, opt)
 		if err != nil {
 			// The planted cut can fail minimality; fall back to discovery.
-			opt = Options{MaxAssignmentSet: 62}
+			opt = Options{}
 			plan, err = Compile(g, dem, opt)
 			if err != nil {
 				continue // no usable cut: out of the decomposition's scope
