@@ -14,7 +14,10 @@ import (
 // Budget bounds the work of an anytime computation: a configuration
 // count, a max-flow-call count and a soft wall-clock deadline (the zero
 // value is unlimited). Budgets are honoured cooperatively at an amortized
-// grain, so short overshoots of one check batch per worker are possible.
+// grain, so a run overshoots by at most one check batch per worker: an
+// enumeration engine stops within MaxConfigs + workers·4096
+// configurations, a sampling engine within MaxConfigs + workers·256
+// samples.
 type Budget = anytime.Budget
 
 // ErrInterrupted is wrapped by every error returned because a computation

@@ -22,6 +22,10 @@ func TestExitCodes(t *testing.T) {
 		{"unparseable package is an operational error", []string{"./does/not/exist"}, exitError},
 		{"findings exit 1", []string{vetme}, exitFindings},
 		{"clean run exits 0", []string{"-c", "floateq", vetme}, exitClean},
+		// The external test imports its subject both directly and
+		// through a package that depends on it: one subject, no type
+		// mismatch.
+		{"external test through a dependent type-checks", []string{"-c", "floateq", "./testdata/xtest/subject"}, exitClean},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

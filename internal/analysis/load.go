@@ -40,6 +40,7 @@ type listPkg struct {
 	TestGoFiles  []string
 	XTestGoFiles []string
 	ImportMap    map[string]string
+	Deps         []string
 	Module       *struct{ Path string }
 	Error        *struct{ Err string }
 }
@@ -208,7 +209,28 @@ func (im *unitImporter) Import(path string) (*types.Package, error) {
 	if p, ok := im.overlay[path]; ok {
 		return p, nil
 	}
+	if e := im.l.byPath[path]; e != nil && e.Module != nil && im.reachesOverlay(e) {
+		// A module package that imports the augmented subject is
+		// re-checked against it, as the test binary recompiles it, so the
+		// external test sees one subject package, not two.
+		u, err := im.l.check(e, absFiles(e, e.GoFiles), im.overlay)
+		if err != nil {
+			return nil, err
+		}
+		im.overlay[path] = u.Pkg
+		return u.Pkg, nil
+	}
 	return im.l.importPath(path)
+}
+
+// reachesOverlay reports whether e depends on an overlaid package.
+func (im *unitImporter) reachesOverlay(e *listPkg) bool {
+	for _, d := range e.Deps {
+		if _, ok := im.overlay[d]; ok {
+			return true
+		}
+	}
+	return false
 }
 
 func (l *loader) importPath(path string) (*types.Package, error) {

@@ -4,7 +4,9 @@
 // context cancellation, deadlines and budget exhaustion into a single
 // cheap "stop now" signal, and the PanicError type that worker goroutines
 // use to convert a solver panic into a returned error instead of killing
-// the process.
+// the process. It also holds the one worker pool (Run), configuration
+// walk (Walk) and sample loop (Sample) that the enumeration and sampling
+// engines run on, so each engine charges its budget the same way.
 //
 // Every exact engine in this repository is exponential in the link count,
 // so a production caller must be able to bound the work it is willing to
@@ -31,20 +33,24 @@ import (
 var ErrInterrupted = errors.New("anytime: computation interrupted")
 
 // CheckEvery is the amortization grain of the cooperative cancellation
-// checks: enumeration workers consult their Ctl once per CheckEvery
-// configurations, so the hot loop pays one atomic load per batch rather
-// than per configuration.
+// checks: enumeration workers charge their Ctl once per CheckEvery
+// configurations (or max-flow calls), so the hot loop pays one atomic
+// update per batch rather than per configuration.
 const CheckEvery = 4096
 
 // Budget bounds the work of one computation. The zero value is unlimited.
 type Budget struct {
 	// MaxConfigs bounds the number of failure configurations (or
 	// factoring branch nodes, or Monte Carlo samples) examined across all
-	// workers; 0 = unlimited.
+	// workers; 0 = unlimited. Workers charge in batches, so a run may
+	// overshoot by one batch per worker: an enumeration on Walk stops
+	// within MaxConfigs + workers·CheckEvery configurations, a sampler
+	// within MaxConfigs + workers·256 samples.
 	MaxConfigs uint64
 	// MaxMaxFlowCalls bounds the number of max-flow solver invocations;
-	// 0 = unlimited. Charged at the same amortized grain as MaxConfigs,
-	// so short overshoots of up to one batch per worker are possible.
+	// 0 = unlimited. Walk and Sample also close a batch at CheckEvery
+	// (or 256) calls, so a run stops within one batch of calls per
+	// worker, plus the calls of the configuration that closed it.
 	MaxMaxFlowCalls int64
 	// SoftDeadline bounds the wall-clock time from the start of the
 	// computation; 0 = none. "Soft" because workers notice it at the next

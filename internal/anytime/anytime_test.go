@@ -3,6 +3,8 @@ package anytime
 import (
 	"context"
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -139,5 +141,53 @@ func TestRecoverInto(t *testing.T) {
 	}
 	if !c.Stopped() {
 		t.Fatal("panic did not stop the controller")
+	}
+}
+
+func TestRun(t *testing.T) {
+	// Every item runs exactly once.
+	var ran [100]atomic.Int32
+	if err := Run(nil, 3, len(ran), "test worker", func(i int, _ *uint64) { ran[i].Add(1) }); err != nil {
+		t.Fatal(err)
+	}
+	for i := range ran {
+		if n := ran[i].Load(); n != 1 {
+			t.Fatalf("item %d ran %d times", i, n)
+		}
+	}
+
+	// Once the controller stops, the items not yet started are skipped.
+	c := New(context.Background(), Budget{})
+	var started atomic.Int32
+	if err := Run(c, 1, 100, "test worker", func(i int, _ *uint64) {
+		started.Add(1)
+		if i == 9 {
+			c.Stop("enough")
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if started.Load() != 10 {
+		t.Fatalf("%d items started after a stop at item 9", started.Load())
+	}
+
+	// Items 0 and 1 both panic: the error returned is item 0's, and no
+	// later item starts, even without a controller to stop.
+	var barrier sync.WaitGroup
+	barrier.Add(2)
+	started.Store(0)
+	err := Run(nil, 2, 10, "test worker", func(i int, cur *uint64) {
+		started.Add(1)
+		barrier.Done()
+		barrier.Wait()
+		*cur = uint64(100 + i)
+		panic("boom")
+	})
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Config != 100 {
+		t.Fatalf("err = %v, want item 0's PanicError at configuration 100", err)
+	}
+	if started.Load() != 2 {
+		t.Fatalf("%d items started after two panics", started.Load())
 	}
 }

@@ -12,7 +12,10 @@
 // over the distribution of the *reachable assignment set*: the random
 // subset S ⊆ 𝒟ᵢ of assignments the prefix can deliver across cut Cᵢ.
 // Each segment maps S through its (random) realization relation; each cut
-// intersects S with its supported class.
+// intersects S with its supported class. The two end segments are each
+// the side of one cut, so core.BuildSide — the §III-C side walk of the
+// single-cut algorithm — builds them; the middle segments are enumerated
+// configuration by configuration.
 //
 // With r cuts the work is Σᵢ 2^{|Eᵢ|} segment enumerations instead of the
 // single-cut 2^{α|E|} — on a chain of b equal blocks, 2^{|E|/b}·b instead
@@ -25,13 +28,13 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"sync"
 	"time"
 
 	"flowrel/internal/anytime"
 	"flowrel/internal/assign"
 	"flowrel/internal/bitset"
 	"flowrel/internal/conf"
+	"flowrel/internal/core"
 	"flowrel/internal/graph"
 	"flowrel/internal/maxflow"
 	"flowrel/internal/mincut"
@@ -67,8 +70,9 @@ type Options struct {
 	// MaxAssignmentSet bounds each cut's |𝒟ᵢ| (default 16; the DP state
 	// space is 2^{|𝒟ᵢ|}).
 	MaxAssignmentSet int
-	// Parallelism is the worker count for segment enumeration
-	// (≤ 0 = GOMAXPROCS).
+	// Parallelism is the worker count for the middle segments'
+	// enumeration (≤ 0 = GOMAXPROCS); the end segments run core's
+	// single-threaded frontier walk.
 	Parallelism int
 	// Ctl optionally makes the run cancellable. The assignment-set DP is
 	// all-or-nothing (a half-built segment distribution certifies no mass),
@@ -87,9 +91,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.MaxAssignmentSet <= 0 {
 		o.MaxAssignmentSet = 16
-	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = defaultParallelism()
 	}
 }
 
@@ -129,10 +130,14 @@ func Solve(g *graph.Graph, dem graph.Demand, cuts [][]graph.EdgeID, opt Options)
 
 	res := Result{Cuts: st.cuts}
 	for _, seg := range st.segs {
-		if seg.G.NumEdges() > opt.MaxSegmentEdges {
-			return Result{}, fmt.Errorf("chain: segment has %d links, exceeding MaxSegmentEdges %d", seg.G.NumEdges(), opt.MaxSegmentEdges)
+		m := seg.G.NumEdges()
+		if m > opt.MaxSegmentEdges {
+			return Result{}, fmt.Errorf("chain: segment has %d links, exceeding MaxSegmentEdges %d", m, opt.MaxSegmentEdges)
 		}
-		res.SegmentEdges = append(res.SegmentEdges, seg.G.NumEdges())
+		if m > conf.MaxEnumEdges {
+			return Result{}, &conf.ErrTooManyEdges{N: m, Where: "chain segment"}
+		}
+		res.SegmentEdges = append(res.SegmentEdges, m)
 	}
 
 	// Assignment families per cut.
@@ -160,7 +165,7 @@ func Solve(g *graph.Graph, dem graph.Demand, cuts [][]graph.EdgeID, opt Options)
 	// Start with segment 0 feeding cut 1.
 	solveStart := time.Now()
 	segStart := solveStart
-	first, calls, err := sourceDistribution(st.segs[0], st.segs[0].NodeOf[dem.S], st.tails[0], st.ds[0], dem.D, opt)
+	first, calls, err := endLaw(st.segs[0], st.segs[0].NodeOf[dem.S], st.tails[0], true, st.ds[0], opt)
 	if err != nil {
 		return Result{}, err
 	}
@@ -184,7 +189,7 @@ func Solve(g *graph.Graph, dem graph.Demand, cuts [][]graph.EdgeID, opt Options)
 	// Final segment absorbs.
 	last := len(st.cuts)
 	segStart = time.Now()
-	r, calls, err := sinkProbability(dist, st.segs[last], st.segs[last].NodeOf[dem.T], st.heads[last-1], st.ds[last-1], dem.D, opt)
+	r, calls, err := sinkProbability(dist, st.segs[last], st.segs[last].NodeOf[dem.T], st.heads[last-1], st.ds[last-1], opt)
 	if err != nil {
 		return Result{}, err
 	}
@@ -336,34 +341,13 @@ func applyCut(dist []float64, g *graph.Graph, cut []graph.EdgeID, ds *assign.Set
 	return out
 }
 
-// sourceDistribution enumerates segment 0's configurations and returns the
-// distribution of the realized-assignment mask over 𝒟₁.
-func sourceDistribution(seg *graph.Subgraph, s graph.NodeID, tails []graph.NodeID, ds *assign.Set, d int, opt Options) ([]float64, int64, error) {
-	realized, probs, calls, err := endRealizations(seg, s, tails, true, ds, d, opt)
-	if err != nil {
-		return nil, 0, err
-	}
-	dist := make([]float64, uint64(1)<<uint(ds.Len()))
-	for mask, rm := range realized {
-		dist[rm] += probs[mask]
-	}
-	return dist, calls, nil
-}
-
 // sinkProbability folds the last segment: the answer is the probability
 // that the final segment absorbs at least one assignment in the reachable
 // set.
-func sinkProbability(dist []float64, seg *graph.Subgraph, t graph.NodeID, heads []graph.NodeID, ds *assign.Set, d int, opt Options) (float64, int64, error) {
-	realized, probs, calls, err := endRealizations(seg, t, heads, false, ds, d, opt)
+func sinkProbability(dist []float64, seg *graph.Subgraph, t graph.NodeID, heads []graph.NodeID, ds *assign.Set, opt Options) (float64, int64, error) {
+	agg, calls, err := endLaw(seg, t, heads, false, ds, opt)
 	if err != nil {
 		return 0, 0, err
-	}
-	// Aggregate sink realizations densely (a map would sum in random
-	// iteration order and break bit-determinism), then pair with the
-	// prefix distribution.
-	agg := make([]float64, uint64(1)<<uint(ds.Len()))
-	for mask, rm := range realized {
-		agg[rm] += probs[mask]
 	}
 	total := 0.0
 	for m, p := range dist {
@@ -379,113 +363,30 @@ func sinkProbability(dist []float64, seg *graph.Subgraph, t graph.NodeID, heads 
 	return total, calls, nil
 }
 
-// endRealizations is the §III-C side-array construction for an end
-// segment: for each failure configuration, the bitmask over ds of the
-// assignments it realizes. toSink=true for the source segment (route from
-// the terminal to the cut tails), false for the sink segment (from the cut
-// heads to the terminal).
-func endRealizations(seg *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, toSink bool, ds *assign.Set, d int, opt Options) ([]uint64, []float64, int64, error) {
-	m := seg.G.NumEdges()
-	if m > conf.MaxEnumEdges {
-		return nil, nil, 0, &conf.ErrTooManyEdges{N: m, Where: "chain segment"}
+// endLaw builds an end segment's §III-C side array with core's frontier
+// walk — an end segment is the side of its one cut — and returns the law
+// of its realized-assignment mask: law[r] is the probability that the
+// segment realizes exactly the assignments r of ds. toSink=true for the
+// source segment (route from the terminal to the cut tails), false for
+// the sink segment (from the cut heads to the terminal). The law is
+// summed densely in mask order (a map would sum in random iteration
+// order and break bit-determinism).
+func endLaw(seg *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, toSink bool, ds *assign.Set, opt Options) ([]float64, int64, error) {
+	var st core.Stats
+	realized, _, err := core.BuildSide(seg, terminal, ends, toSink, ds, &core.Options{Ctl: opt.Ctl, TestHook: opt.TestHook}, &st)
+	if err != nil {
+		return nil, 0, err
 	}
-	proto := maxflow.New(seg.G.NumNodes())
-	super := proto.AddNode()
-	handles := make([]maxflow.Handle, m)
-	for _, e := range seg.G.Edges() {
-		handles[e.ID] = proto.AddDirected(int32(e.U), int32(e.V), e.Cap)
-	}
-	demandArcs := make([]maxflow.Handle, len(ends))
-	for i, x := range ends {
-		if toSink {
-			demandArcs[i] = proto.AddDirected(int32(x), super, 0)
-		} else {
-			demandArcs[i] = proto.AddDirected(super, int32(x), 0)
-		}
-	}
-	src, dst := int32(terminal), super
-	if !toSink {
-		src, dst = super, int32(terminal)
-	}
-
-	realized := make([]uint64, uint64(1)<<uint(m))
-	probs := make([]float64, uint64(1)<<uint(m))
-	pFail := make([]float64, m)
+	pFail := make([]float64, seg.G.NumEdges())
 	for i, e := range seg.G.Edges() {
 		pFail[i] = e.PFail
 	}
 	table := conf.NewTable(pFail)
-	if err := table.Iter(func(mask conf.Mask, p float64) { probs[mask] = p }); err != nil {
-		return nil, nil, 0, err
+	law := make([]float64, uint64(1)<<uint(ds.Len()))
+	for mask, rm := range realized {
+		law[rm] += table.Prob(uint64(mask))
 	}
-
-	var calls int64
-	var mu sync.Mutex
-	chunks := conf.SplitEnum(m)
-	for j, a := range ds.Assignments {
-		for i := range demandArcs {
-			proto.SetBaseCapDirected(demandArcs[i], a[i])
-		}
-		bit := uint64(1) << uint(j)
-		errs := make([]error, len(chunks))
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, opt.Parallelism)
-		for ci, r := range chunks {
-			wg.Add(1)
-			go func(ci int, lo, hi uint64) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				cur := lo
-				defer anytime.RecoverInto(&errs[ci], opt.Ctl, "chain end-segment worker", &cur)
-				if opt.Ctl.Stopped() {
-					return
-				}
-				nw := proto.Clone()
-				prev := ^uint64(0)
-				width := uint64(1)<<uint(m) - 1
-				var sinceCheck uint64
-				var callsMark int64
-				for mask := lo; mask < hi; mask++ {
-					if sinceCheck >= anytime.CheckEvery {
-						if !opt.Ctl.Charge(sinceCheck, nw.Stats.MaxFlowCalls-callsMark) {
-							break
-						}
-						sinceCheck, callsMark = 0, nw.Stats.MaxFlowCalls
-					}
-					sinceCheck++
-					cur = mask
-					if opt.TestHook != nil {
-						opt.TestHook(mask)
-					}
-					diff := (mask ^ prev) & width
-					for diff != 0 {
-						i := bits.TrailingZeros64(diff)
-						diff &= diff - 1
-						nw.SetEnabled(handles[i], mask&(1<<uint(i)) != 0)
-					}
-					prev = mask
-					if nw.MaxFlow(src, dst, d) >= d {
-						realized[mask] |= bit
-					}
-				}
-				opt.Ctl.Charge(sinceCheck, nw.Stats.MaxFlowCalls-callsMark)
-				mu.Lock()
-				calls += nw.Stats.MaxFlowCalls
-				mu.Unlock()
-			}(ci, r[0], r[1])
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, nil, calls, err
-			}
-		}
-		if opt.Ctl.Stopped() {
-			return nil, nil, calls, fmt.Errorf("chain: segment enumeration interrupted: %w", opt.Ctl.Err())
-		}
-	}
-	return realized, probs, calls, nil
+	return law, st.MaxFlowCalls, nil
 }
 
 // middleTransition pushes the reachable-set distribution through one
@@ -495,9 +396,6 @@ func endRealizations(seg *graph.Subgraph, terminal graph.NodeID, ends []graph.No
 // reachable set S to its image ∪_{a∈S} rows[a].
 func middleTransition(dist []float64, seg *graph.Subgraph, heads []graph.NodeID, dsIn *assign.Set, tails []graph.NodeID, dsOut *assign.Set, d int, opt Options) ([]float64, int64, error) {
 	m := seg.G.NumEdges()
-	if m > conf.MaxEnumEdges {
-		return nil, 0, &conf.ErrTooManyEdges{N: m, Where: "chain segment"}
-	}
 	// Collect the active states once; the image computation is linear in
 	// the number of live masks rather than 2^{|𝒟in|}.
 	type state struct {
@@ -540,86 +438,48 @@ func middleTransition(dist []float64, seg *graph.Subgraph, heads []graph.NodeID,
 	chunks := conf.SplitEnum(m)
 	partial := make([][]float64, len(chunks))
 	callsPer := make([]int64, len(chunks))
-	errs := make([]error, len(chunks))
-
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, opt.Parallelism)
-	for ci, r := range chunks {
-		wg.Add(1)
-		go func(ci int, lo, hi uint64) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			cur := lo
-			defer anytime.RecoverInto(&errs[ci], opt.Ctl, "chain middle-segment worker", &cur)
-			if opt.Ctl.Stopped() {
-				return
-			}
-			nw := proto.Clone()
-			local := make([]float64, len(out))
-			rows := make([]uint64, dsIn.Len())
-			width := uint64(1)<<uint(m) - 1
-			prev := ^uint64(0)
-			var callsMark int64
-			for mask := lo; mask < hi; mask++ {
-				// Each configuration costs |𝒟in|·|𝒟out| max flows, so a
-				// per-configuration charge is already amortized.
-				if !opt.Ctl.Charge(1, nw.Stats.MaxFlowCalls-callsMark) {
-					break
+	err := anytime.Run(opt.Ctl, opt.Parallelism, len(chunks), "chain middle-segment worker", func(ci int, cur *uint64) {
+		nw := proto.Clone()
+		local := make([]float64, len(out))
+		rows := make([]uint64, dsIn.Len())
+		anytime.Walk(opt.Ctl, opt.TestHook, nw, handles, chunks[ci][0], chunks[ci][1], cur, func(mask uint64) {
+			// The relation of this configuration.
+			for ai, a := range dsIn.Assignments {
+				rows[ai] = 0
+				for i := range inArcs {
+					nw.SetBaseCapDirected(inArcs[i], a[i])
 				}
-				callsMark = nw.Stats.MaxFlowCalls
-				cur = mask
-				if opt.TestHook != nil {
-					opt.TestHook(mask)
-				}
-				diff := (mask ^ prev) & width
-				for diff != 0 {
-					i := bits.TrailingZeros64(diff)
-					diff &= diff - 1
-					nw.SetEnabled(handles[i], mask&(1<<uint(i)) != 0)
-				}
-				prev = mask
-				// The relation of this configuration.
-				for ai, a := range dsIn.Assignments {
-					rows[ai] = 0
-					for i := range inArcs {
-						nw.SetBaseCapDirected(inArcs[i], a[i])
+				for bi, b := range dsOut.Assignments {
+					for i := range outArcs {
+						nw.SetBaseCapDirected(outArcs[i], b[i])
 					}
-					for bi, b := range dsOut.Assignments {
-						for i := range outArcs {
-							nw.SetBaseCapDirected(outArcs[i], b[i])
-						}
-						if nw.MaxFlow(superIn, superOut, d) >= d {
-							rows[ai] |= 1 << uint(bi)
-						}
+					if nw.MaxFlow(superIn, superOut, d) >= d {
+						rows[ai] |= 1 << uint(bi)
 					}
-				}
-				pc := table.Prob(mask)
-				for _, st := range active {
-					var img uint64
-					rem := st.mask
-					for rem != 0 {
-						ai := bits.TrailingZeros64(rem)
-						rem &= rem - 1
-						img |= rows[ai]
-					}
-					local[img] += st.p * pc
 				}
 			}
-			partial[ci] = local
-			callsPer[ci] = nw.Stats.MaxFlowCalls
-		}(ci, r[0], r[1])
-	}
-	wg.Wait()
+			pc := table.Prob(mask)
+			for _, st := range active {
+				var img uint64
+				rem := st.mask
+				for rem != 0 {
+					ai := bits.TrailingZeros64(rem)
+					rem &= rem - 1
+					img |= rows[ai]
+				}
+				local[img] += st.p * pc
+			}
+		})
+		partial[ci] = local
+		callsPer[ci] = nw.Stats.MaxFlowCalls
+	})
 
 	var calls int64
 	for ci := range callsPer {
 		calls += callsPer[ci]
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, calls, err
-		}
+	if err != nil {
+		return nil, calls, err
 	}
 	if opt.Ctl.Stopped() {
 		return nil, calls, fmt.Errorf("chain: segment enumeration interrupted: %w", opt.Ctl.Err())

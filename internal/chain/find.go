@@ -1,14 +1,11 @@
 package chain
 
 import (
-	"runtime"
 	"sort"
 
 	"flowrel/internal/graph"
 	"flowrel/internal/mincut"
 )
-
-func defaultParallelism() int { return runtime.GOMAXPROCS(0) }
 
 // Find greedily assembles a chain of pairwise disjoint minimal s–t cuts
 // (each with at most maxCutSize links, at most maxCuts of them) that

@@ -15,15 +15,17 @@ func benchTable(m int) *Table {
 	return NewTable(p)
 }
 
-// BenchmarkIter times plain binary iteration, whose per-mask probability
-// costs O(m).
-func BenchmarkIter(b *testing.B) {
+// BenchmarkTableProb times the per-mask probability over a whole
+// configuration space, which costs O(m) per mask.
+func BenchmarkTableProb(b *testing.B) {
 	for _, m := range []int{12, 18} {
 		t := benchTable(m)
 		b.Run(fmt.Sprintf("binary/m=%d", m), func(b *testing.B) {
 			sink := 0.0
 			for i := 0; i < b.N; i++ {
-				_ = t.Iter(func(_ Mask, p float64) { sink += p })
+				for mask := Mask(0); mask < 1<<m; mask++ {
+					sink += t.Prob(mask)
+				}
 			}
 			_ = sink
 		})

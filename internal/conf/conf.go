@@ -1,7 +1,7 @@
 // Package conf handles failure configurations: subsets of links that are
 // simultaneously operational, their occurrence probabilities (Eq. 2 of the
-// paper), binary-order iteration over the 2^m configuration space, and its
-// split into contiguous chunks for parallel enumeration.
+// paper), and the split of the 2^m configuration space into contiguous
+// chunks for parallel enumeration (anytime.Walk walks each chunk).
 package conf
 
 import (
@@ -86,20 +86,6 @@ func (t *Table) Prob(mask Mask) float64 {
 		}
 	}
 	return pr
-}
-
-// Iter visits all 2^m configurations in plain binary order, calling
-// visit(mask, prob). m must be ≤ MaxEnumEdges.
-func (t *Table) Iter(visit func(mask Mask, prob float64)) error {
-	m := len(t.PFail)
-	if m > MaxEnumEdges {
-		return &ErrTooManyEdges{N: m, Where: "configuration space"}
-	}
-	total := uint64(1) << uint(m)
-	for i := uint64(0); i < total; i++ {
-		visit(i, t.Prob(i))
-	}
-	return nil
 }
 
 // EnumChunks is the maximum chunk count SplitEnum produces: keeping the

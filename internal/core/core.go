@@ -210,7 +210,28 @@ func planResult(plan *Plan) (Result, error) {
 	}, nil
 }
 
-// buildSide constructs the §III-C realization array for one component:
+// buildSide is BuildSide for one side of a compile: it records the
+// side's configuration count and reports the side's phase to the tracer.
+func buildSide(sub *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, toSink bool, ds *assign.Set, opt *Options, st *Stats, sideIdx int) (realized, rows []uint64, err error) {
+	buildStart := time.Now()
+	callsBefore := st.MaxFlowCalls
+	if realized, rows, err = BuildSide(sub, terminal, ends, toSink, ds, opt, st); err != nil {
+		return nil, nil, err
+	}
+	st.SideConfigs[sideIdx] = uint64(len(realized))
+	if tr := opt.Ctl.Tracer(); tr != nil {
+		tr.OnPhase(stats.PhaseEvent{
+			Engine:       "core",
+			Phase:        fmt.Sprintf("side/%d", sideIdx),
+			Duration:     time.Since(buildStart),
+			Configs:      st.SideConfigs[sideIdx],
+			MaxFlowCalls: st.MaxFlowCalls - callsBefore,
+		})
+	}
+	return realized, rows, nil
+}
+
+// BuildSide constructs the §III-C realization array for one component:
 // for every failure configuration of the component's links, the set of
 // assignments it realizes (as a bit mask over 𝒟). Occurrence
 // probabilities are *not* part of it — they belong to the evaluate phase
@@ -220,28 +241,16 @@ func planResult(plan *Plan) (Result, error) {
 // bottleneck links (x_i or y_i); toSink selects the G_s orientation
 // (route from terminal to the bottleneck endpoints) versus G_t (from the
 // endpoints to the terminal). It also returns the walk's rows, the same
-// array as one bit row per assignment.
-func buildSide(sub *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, toSink bool, ds *assign.Set, opt *Options, st *Stats, sideIdx int) (realized, rows []uint64, err error) {
-	m := sub.G.NumEdges()
-	buildStart := time.Now()
-	callsBefore := st.MaxFlowCalls
-
-	realized = make([]uint64, uint64(1)<<uint(m))
-	st.SideConfigs[sideIdx] = uint64(1) << uint(m)
+// array as one bit row per assignment. Only opt.Ctl and opt.TestHook are
+// read, and the walk's work is added to st. The chain solver builds its
+// end segments with it: each is the side of its outermost cut.
+func BuildSide(sub *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, toSink bool, ds *assign.Set, opt *Options, st *Stats) (realized, rows []uint64, err error) {
+	realized = make([]uint64, uint64(1)<<uint(sub.G.NumEdges()))
 	if rows, err = walkFrontier(newFrontierCtx(sub, terminal, ends, toSink, ds, opt), realized, st); err != nil {
 		return nil, nil, err
 	}
 	if opt.Ctl.Stopped() {
 		return nil, nil, fmt.Errorf("core: side-array construction interrupted: %w", opt.Ctl.Err())
-	}
-	if tr := opt.Ctl.Tracer(); tr != nil {
-		tr.OnPhase(stats.PhaseEvent{
-			Engine:       "core",
-			Phase:        fmt.Sprintf("side/%d", sideIdx),
-			Duration:     time.Since(buildStart),
-			Configs:      st.SideConfigs[sideIdx],
-			MaxFlowCalls: st.MaxFlowCalls - callsBefore,
-		})
 	}
 	return realized, rows, nil
 }

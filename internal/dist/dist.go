@@ -14,10 +14,7 @@ package dist
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"flowrel/internal/anytime"
 	"flowrel/internal/conf"
@@ -112,61 +109,18 @@ func Exact(g *graph.Graph, dem graph.Demand, opt reliability.Options) (Distribut
 	proto, handles := maxflow.FromGraph(g)
 	s, t := int32(dem.S), int32(dem.T)
 
-	workers := workerCount(opt)
 	chunks := conf.SplitEnum(m)
 	partial := make([][]float64, len(chunks))
-	errs := make([]error, len(chunks))
-
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for ci, r := range chunks {
-		wg.Add(1)
-		go func(ci int, lo, hi uint64) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			cur := lo
-			defer anytime.RecoverInto(&errs[ci], opt.Ctl, "distribution enumeration worker", &cur)
-			if opt.Ctl.Stopped() {
-				return
-			}
-			nw := proto.Clone()
-			buckets := make([]float64, dem.D+1)
-			prev := ^uint64(0)
-			width := uint64(1)<<uint(m) - 1
-			var sinceCheck uint64
-			var callsMark int64
-			for mask := lo; mask < hi; mask++ {
-				if sinceCheck >= anytime.CheckEvery {
-					if !opt.Ctl.Charge(sinceCheck, nw.Stats.MaxFlowCalls-callsMark) {
-						break
-					}
-					sinceCheck, callsMark = 0, nw.Stats.MaxFlowCalls
-				}
-				sinceCheck++
-				cur = mask
-				if opt.TestHook != nil {
-					opt.TestHook(mask)
-				}
-				diff := (mask ^ prev) & width
-				for diff != 0 {
-					i := trailingZeros(diff)
-					diff &= diff - 1
-					nw.SetEnabled(handles[i], mask&(1<<uint(i)) != 0)
-				}
-				prev = mask
-				v := nw.MaxFlow(s, t, dem.D)
-				buckets[v] += table.Prob(mask)
-			}
-			opt.Ctl.Charge(sinceCheck, nw.Stats.MaxFlowCalls-callsMark)
-			partial[ci] = buckets
-		}(ci, r[0], r[1])
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return Distribution{}, err
-		}
+	err := anytime.Run(opt.Ctl, opt.Parallelism, len(chunks), "distribution enumeration worker", func(ci int, cur *uint64) {
+		nw := proto.Clone()
+		buckets := make([]float64, dem.D+1)
+		anytime.Walk(opt.Ctl, opt.TestHook, nw, handles, chunks[ci][0], chunks[ci][1], cur, func(mask uint64) {
+			buckets[nw.MaxFlow(s, t, dem.D)] += table.Prob(mask)
+		})
+		partial[ci] = buckets
+	})
+	if err != nil {
+		return Distribution{}, err
 	}
 
 	out := Distribution{D: dem.D, P: make([]float64, dem.D+1)}
@@ -256,56 +210,20 @@ func Sampled(g *graph.Graph, dem graph.Demand, samples int, seed int64, opt reli
 	nBlocks := (samples + blockSize - 1) / blockSize
 	counts := make([][]int64, nBlocks)
 	done := make([]int, nBlocks)
-	errs := make([]error, nBlocks)
-
-	workers := workerCount(opt)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for b := 0; b < nBlocks; b++ {
-		wg.Add(1)
-		go func(b int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			var cur uint64
-			defer anytime.RecoverInto(&errs[b], opt.Ctl, "distribution sampling worker", &cur)
-			if opt.Ctl.Stopped() {
-				return
+	err := anytime.Run(opt.Ctl, opt.Parallelism, nBlocks, "distribution sampling worker", func(b int, cur *uint64) {
+		rng := rand.New(rand.NewSource(seed + int64(b)*0x5851F42D4C957F2D))
+		nw := proto.Clone()
+		local := make([]int64, dem.D+1)
+		done[b] = anytime.Sample(opt.Ctl, opt.TestHook, nw, min(blockSize, samples-b*blockSize), cur, func() {
+			for j := range handles {
+				nw.SetEnabled(handles[j], rng.Float64() >= pFail[j])
 			}
-			n := blockSize
-			if b == nBlocks-1 {
-				n = samples - b*blockSize
-			}
-			rng := rand.New(rand.NewSource(seed + int64(b)*0x5851F42D4C957F2D))
-			nw := proto.Clone()
-			local := make([]int64, dem.D+1)
-			var callsMark int64
-			for i := 0; i < n; i++ {
-				if i > 0 && i%256 == 0 {
-					if !opt.Ctl.Charge(256, nw.Stats.MaxFlowCalls-callsMark) {
-						break
-					}
-					callsMark = nw.Stats.MaxFlowCalls
-				}
-				cur = uint64(i)
-				if opt.TestHook != nil {
-					opt.TestHook(cur)
-				}
-				for j := range handles {
-					nw.SetEnabled(handles[j], rng.Float64() >= pFail[j])
-				}
-				local[nw.MaxFlow(s, t, dem.D)]++
-				done[b]++
-			}
-			opt.Ctl.Charge(uint64(done[b]%256), nw.Stats.MaxFlowCalls-callsMark)
-			counts[b] = local
-		}(b)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return Distribution{}, err
-		}
+			local[nw.MaxFlow(s, t, dem.D)]++
+		})
+		counts[b] = local
+	})
+	if err != nil {
+		return Distribution{}, err
 	}
 
 	out := Distribution{D: dem.D, P: make([]float64, dem.D+1)}
@@ -328,12 +246,3 @@ func Sampled(g *graph.Graph, dem graph.Demand, samples int, seed int64, opt reli
 	}
 	return out, nil
 }
-
-func workerCount(opt reliability.Options) int {
-	if opt.Parallelism > 0 {
-		return opt.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-func trailingZeros(x uint64) int { return bits.TrailingZeros64(x) }

@@ -17,9 +17,7 @@ package multicast
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
-	"sync"
 
 	"flowrel/internal/anytime"
 	"flowrel/internal/conf"
@@ -93,98 +91,49 @@ func Naive(g *graph.Graph, s graph.NodeID, targets []graph.NodeID, d int, opt re
 	table := conf.NewTable(pFail)
 	proto, handles := maxflow.FromGraph(g)
 
-	workers := workerCount(opt)
 	chunks := conf.SplitEnum(m)
 	partial := make([]float64, len(chunks))
 	examined := make([]float64, len(chunks))
 	stats := make([]reliability.Stats, len(chunks))
-	errs := make([]error, len(chunks))
-
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for ci, r := range chunks {
-		wg.Add(1)
-		go func(ci int, lo, hi uint64) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			cur := lo
-			defer anytime.RecoverInto(&errs[ci], opt.Ctl, "multicast enumeration worker", &cur)
-			if opt.Ctl.Stopped() {
-				return
+	err = anytime.Run(opt.Ctl, opt.Parallelism, len(chunks), "multicast enumeration worker", func(ci int, cur *uint64) {
+		nw := proto.Clone()
+		var st reliability.Stats
+		sum, exam := 0.0, 0.0
+		anytime.Walk(opt.Ctl, opt.TestHook, nw, handles, chunks[ci][0], chunks[ci][1], cur, func(mask uint64) {
+			st.Configs++
+			p := table.Prob(mask)
+			exam += p
+			if allServed(nw, int32(s), targets, d) {
+				st.Admitting++
+				sum += p
 			}
-			nw := proto.Clone()
-			sum, exam := 0.0, 0.0
-			var st reliability.Stats
-			prev := ^uint64(0)
-			width := uint64(1)<<uint(m) - 1
-			var sinceCheck uint64
-			var callsMark int64
-			for mask := lo; mask < hi; mask++ {
-				if sinceCheck >= anytime.CheckEvery {
-					if !opt.Ctl.Charge(sinceCheck, nw.Stats.MaxFlowCalls-callsMark) {
-						break
-					}
-					sinceCheck, callsMark = 0, nw.Stats.MaxFlowCalls
-				}
-				sinceCheck++
-				cur = mask
-				if opt.TestHook != nil {
-					opt.TestHook(mask)
-				}
-				diff := (mask ^ prev) & width
-				for diff != 0 {
-					i := tz(diff)
-					diff &= diff - 1
-					nw.SetEnabled(handles[i], mask&(1<<uint(i)) != 0)
-				}
-				prev = mask
-				st.Configs++
-				exam += table.Prob(mask)
-				if allServed(nw, int32(s), targets, d) {
-					st.Admitting++
-					sum += table.Prob(mask)
-				}
-			}
-			opt.Ctl.Charge(sinceCheck, nw.Stats.MaxFlowCalls-callsMark)
-			st.MaxFlowCalls = nw.Stats.MaxFlowCalls
-			partial[ci] = sum
-			examined[ci] = exam
-			stats[ci] = st
-		}(ci, r[0], r[1])
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return Result{}, err
-		}
+		})
+		st.MaxFlowCalls = nw.Stats.MaxFlowCalls
+		partial[ci], examined[ci], stats[ci] = sum, exam, st
+	})
+	if err != nil {
+		return Result{}, err
 	}
 
-	res := Result{Targets: len(targets)}
+	var r reliability.Result
 	exam := 0.0
 	for ci := range chunks {
-		res.Reliability += partial[ci]
+		r.Reliability += partial[ci]
 		exam += examined[ci]
-		res.Stats.Configs += stats[ci].Configs
-		res.Stats.Admitting += stats[ci].Admitting
-		res.Stats.MaxFlowCalls += stats[ci].MaxFlowCalls
+		r.Stats.Configs += stats[ci].Configs
+		r.Stats.Admitting += stats[ci].Admitting
+		r.Stats.MaxFlowCalls += stats[ci].MaxFlowCalls
 	}
-	if opt.Ctl.Stopped() {
-		res.Partial = true
-		res.Reason = opt.Ctl.Reason()
-		res.Lo = res.Reliability
-		res.Hi = 1 - (exam - res.Reliability)
-		if res.Hi > 1 {
-			res.Hi = 1
-		}
-		if res.Hi < res.Lo {
-			res.Hi = res.Lo
-		}
-		res.Reliability = (res.Lo + res.Hi) / 2
-	} else {
-		res.Lo, res.Hi = res.Reliability, res.Reliability
-	}
-	return res, nil
+	r.Seal(opt.Ctl, r.Reliability, exam-r.Reliability)
+	return Result{
+		Reliability: r.Reliability,
+		Targets:     len(targets),
+		Stats:       r.Stats,
+		Partial:     r.Partial,
+		Lo:          r.Lo,
+		Hi:          r.Hi,
+		Reason:      r.Reason,
+	}, nil
 }
 
 func allServed(nw *maxflow.Network, s int32, targets []graph.NodeID, d int) bool {
@@ -239,57 +188,22 @@ func MonteCarloRand(g *graph.Graph, s graph.NodeID, targets []graph.NodeID, d, s
 	}
 	hits := make([]int, nBlocks)
 	done := make([]int, nBlocks)
-	errs := make([]error, nBlocks)
-	workers := workerCount(opt)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for b := 0; b < nBlocks; b++ {
-		wg.Add(1)
-		go func(b int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			var cur uint64
-			defer anytime.RecoverInto(&errs[b], opt.Ctl, "multicast sampling worker", &cur)
-			if opt.Ctl.Stopped() {
-				return
+	err = anytime.Run(opt.Ctl, opt.Parallelism, nBlocks, "multicast sampling worker", func(b int, cur *uint64) {
+		rng := rand.New(rand.NewSource(blockSeeds[b]))
+		nw := proto.Clone()
+		h := 0
+		done[b] = anytime.Sample(opt.Ctl, opt.TestHook, nw, min(blockSize, samples-b*blockSize), cur, func() {
+			for j := range handles {
+				nw.SetEnabled(handles[j], rng.Float64() >= pFail[j])
 			}
-			n := blockSize
-			if b == nBlocks-1 {
-				n = samples - b*blockSize
+			if allServed(nw, int32(s), targets, d) {
+				h++
 			}
-			rng := rand.New(rand.NewSource(blockSeeds[b]))
-			nw := proto.Clone()
-			h := 0
-			var callsMark int64
-			for i := 0; i < n; i++ {
-				if i > 0 && i%256 == 0 {
-					if !opt.Ctl.Charge(256, nw.Stats.MaxFlowCalls-callsMark) {
-						break
-					}
-					callsMark = nw.Stats.MaxFlowCalls
-				}
-				cur = uint64(i)
-				if opt.TestHook != nil {
-					opt.TestHook(cur)
-				}
-				for j := range handles {
-					nw.SetEnabled(handles[j], rng.Float64() >= pFail[j])
-				}
-				if allServed(nw, int32(s), targets, d) {
-					h++
-				}
-				done[b]++
-			}
-			opt.Ctl.Charge(uint64(done[b]%256), nw.Stats.MaxFlowCalls-callsMark)
-			hits[b] = h
-		}(b)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return Estimate{}, err
-		}
+		})
+		hits[b] = h
+	})
+	if err != nil {
+		return Estimate{}, err
 	}
 	total, completed := 0, 0
 	for b := range hits {
@@ -335,12 +249,3 @@ func PerTarget(g *graph.Graph, s graph.NodeID, targets []graph.NodeID, d int, op
 	}
 	return out, nil
 }
-
-func workerCount(opt reliability.Options) int {
-	if opt.Parallelism > 0 {
-		return opt.Parallelism
-	}
-	return defaultParallelism()
-}
-
-func tz(x uint64) int { return bits.TrailingZeros64(x) }

@@ -18,7 +18,6 @@ import (
 	"math"
 	"math/big"
 	"math/bits"
-	"sync"
 
 	"flowrel/internal/anytime"
 	"flowrel/internal/conf"
@@ -59,63 +58,23 @@ func Compute(g *graph.Graph, dem graph.Demand, opt reliability.Options) (Polynom
 	proto, handles := maxflow.FromGraph(g)
 	s, t := int32(dem.S), int32(dem.T)
 
-	ctl := opt.Ctl
-	workers := workerCount(opt)
 	chunks := conf.SplitEnum(m)
 	partial := make([][]uint64, len(chunks))
-	errs := make([]error, len(chunks))
-
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for ci, r := range chunks {
-		wg.Add(1)
-		go func(ci int, lo, hi uint64) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			cur := lo
-			defer anytime.RecoverInto(&errs[ci], ctl, "poly worker", &cur)
-			if ctl.Stopped() {
-				return
+	err := anytime.Run(opt.Ctl, opt.Parallelism, len(chunks), "poly worker", func(ci int, cur *uint64) {
+		nw := proto.Clone()
+		counts := make([]uint64, m+1)
+		anytime.Walk(opt.Ctl, opt.TestHook, nw, handles, chunks[ci][0], chunks[ci][1], cur, func(mask uint64) {
+			if nw.MaxFlow(s, t, dem.D) >= dem.D {
+				counts[bits.OnesCount64(mask)]++
 			}
-			nw := proto.Clone()
-			counts := make([]uint64, m+1)
-			prev := ^uint64(0)
-			width := uint64(1)<<uint(m) - 1
-			var sinceCheck uint64
-			callsMark := nw.Stats.MaxFlowCalls
-			for mask := lo; mask < hi; mask++ {
-				if sinceCheck >= anytime.CheckEvery {
-					if !ctl.Charge(sinceCheck, nw.Stats.MaxFlowCalls-callsMark) {
-						return
-					}
-					sinceCheck, callsMark = 0, nw.Stats.MaxFlowCalls
-				}
-				sinceCheck++
-				cur = mask
-				diff := (mask ^ prev) & width
-				for diff != 0 {
-					i := bits.TrailingZeros64(diff)
-					diff &= diff - 1
-					nw.SetEnabled(handles[i], mask&(1<<uint(i)) != 0)
-				}
-				prev = mask
-				if nw.MaxFlow(s, t, dem.D) >= dem.D {
-					counts[bits.OnesCount64(mask)]++
-				}
-			}
-			ctl.Charge(sinceCheck, nw.Stats.MaxFlowCalls-callsMark)
-			partial[ci] = counts
-		}(ci, r[0], r[1])
+		})
+		partial[ci] = counts
+	})
+	if err != nil {
+		return Polynomial{}, err
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return Polynomial{}, err
-		}
-	}
-	if ctl.Stopped() {
-		return Polynomial{}, fmt.Errorf("poly: enumeration interrupted: %w", ctl.Err())
+	if opt.Ctl.Stopped() {
+		return Polynomial{}, fmt.Errorf("poly: enumeration interrupted: %w", opt.Ctl.Err())
 	}
 
 	P := Polynomial{M: m, Admitting: make([]uint64, m+1)}
@@ -238,11 +197,4 @@ func binom(n, k int) uint64 {
 		return 0
 	}
 	return new(big.Int).Binomial(int64(n), int64(k)).Uint64()
-}
-
-func workerCount(opt reliability.Options) int {
-	if opt.Parallelism > 0 {
-		return opt.Parallelism
-	}
-	return defaultParallelism()
 }

@@ -202,3 +202,42 @@ func TestQuickCountInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Property: the polynomial is identical at any parallelism (per-chunk
+// counts are merged in chunk order).
+func TestQuickComputeParallelDeterministic(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 3 + rng.Intn(4)
+		m := 7 + rng.Intn(4) // 2 to 16 chunks
+		b := graph.NewBuilder()
+		b.AddNodes(n)
+		for i := 0; i < m; i++ {
+			u := graph.NodeID(rng.Intn(n))
+			v := graph.NodeID(rng.Intn(n))
+			for v == u {
+				v = graph.NodeID(rng.Intn(n))
+			}
+			b.AddEdge(u, v, 1+rng.Intn(2), 0)
+		}
+		g := b.MustBuild()
+		dem := graph.Demand{S: 0, T: graph.NodeID(n - 1), D: 1 + rng.Intn(2)}
+		a, err := Compute(g, dem, reliability.Options{Parallelism: 1})
+		if err != nil {
+			return false
+		}
+		c, err := Compute(g, dem, reliability.Options{Parallelism: 7})
+		if err != nil {
+			return false
+		}
+		for i := range a.Admitting {
+			if a.Admitting[i] != c.Admitting[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -84,15 +84,19 @@ func TestNaiveBudgetInterval(t *testing.T) {
 		}
 		want, _ := exact.Float64()
 		// With CheckEvery amortization the workers overshoot a tiny
-		// budget, but on a 2^15-ish space they still stop well short.
+		// budget, but on a 2^15-ish space they still stop well short:
+		// within one batch per worker.
 		ctl := anytime.New(context.Background(), anytime.Budget{MaxConfigs: 1})
 		res, err := Naive(g, dem, Options{Ctl: ctl, Parallelism: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkInterval(t, "naive budget", res.Lo, res.Hi, want)
-		if !res.Partial && res.Stats.Configs < uint64(1)<<uint(g.NumEdges()) {
-			t.Fatalf("seed %d: incomplete run not marked partial", seed)
+		if bound := 1 + 2*uint64(anytime.CheckEvery); res.Stats.Configs > bound {
+			t.Fatalf("seed %d: examined %d of %d configurations under MaxConfigs 1, bound %d", seed, res.Stats.Configs, uint64(1)<<uint(g.NumEdges()), bound)
+		}
+		if !res.Partial || res.Hi-res.Lo <= 0 {
+			t.Fatalf("seed %d: stopped run reads partial=%v [%g, %g]", seed, res.Partial, res.Lo, res.Hi)
 		}
 	}
 }

@@ -73,7 +73,7 @@ func Factoring(g *graph.Graph, dem graph.Demand, opt Options) (Result, error) {
 	}
 	res.Stats.MaxFlowCalls += f.nw.Stats.MaxFlowCalls
 	res.Stats.AugmentUnits += f.nw.Stats.AugmentUnits
-	res.seal(f.ctl, res.Reliability, res.Stats.refuted)
+	res.Seal(f.ctl, res.Reliability, res.Stats.refuted)
 	return res, nil
 }
 

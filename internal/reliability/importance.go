@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"flowrel/internal/anytime"
 	"flowrel/internal/graph"
@@ -56,62 +55,29 @@ func UnreliabilityIS(g *graph.Graph, dem graph.Demand, samples int, seed int64, 
 	type blockSum struct{ w, w2 float64 }
 	sums := make([]blockSum, nBlocks)
 	done := make([]int, nBlocks)
-	errs := make([]error, nBlocks)
-
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, opt.workers())
-	for b := 0; b < nBlocks; b++ {
-		wg.Add(1)
-		go func(b int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			var cur uint64
-			defer anytime.RecoverInto(&errs[b], opt.Ctl, "importance sampling worker", &cur)
-			if opt.Ctl.Stopped() {
-				return
+	err := anytime.Run(opt.Ctl, opt.Parallelism, nBlocks, "importance sampling worker", func(b int, cur *uint64) {
+		rng := rand.New(rand.NewSource(seed + int64(b)*0x5851F42D4C957F2D))
+		nw := proto.Clone()
+		var sw, sw2 float64
+		done[b] = anytime.Sample(opt.Ctl, opt.TestHook, nw, min(blockSize, samples-b*blockSize), cur, func() {
+			w := 1.0
+			for j := range handles {
+				down := rng.Float64() < q[j]
+				nw.SetEnabled(handles[j], !down)
+				if down {
+					w *= wDown[j]
+				} else {
+					w *= wUp[j]
+				}
 			}
-			n := blockSize
-			if b == nBlocks-1 {
-				n = samples - b*blockSize
+			if nw.MaxFlow(s, t, dem.D) < dem.D {
+				sw += w
+				sw2 += w * w
 			}
-			rng := rand.New(rand.NewSource(seed + int64(b)*0x5851F42D4C957F2D))
-			nw := proto.Clone()
-			var sw, sw2 float64
-			var callsMark int64
-			for i := 0; i < n; i++ {
-				if i > 0 && i%mcCheckEvery == 0 {
-					if !opt.Ctl.Charge(mcCheckEvery, nw.Stats.MaxFlowCalls-callsMark) {
-						break
-					}
-					callsMark = nw.Stats.MaxFlowCalls
-				}
-				cur = uint64(i)
-				if opt.TestHook != nil {
-					opt.TestHook(cur)
-				}
-				w := 1.0
-				for j := range handles {
-					down := rng.Float64() < q[j]
-					nw.SetEnabled(handles[j], !down)
-					if down {
-						w *= wDown[j]
-					} else {
-						w *= wUp[j]
-					}
-				}
-				if nw.MaxFlow(s, t, dem.D) < dem.D {
-					sw += w
-					sw2 += w * w
-				}
-				done[b]++
-			}
-			opt.Ctl.Charge(uint64(done[b]%mcCheckEvery), nw.Stats.MaxFlowCalls-callsMark)
-			sums[b] = blockSum{sw, sw2}
-		}(b)
-	}
-	wg.Wait()
-	if err := firstError(errs); err != nil {
+		})
+		sums[b] = blockSum{sw, sw2}
+	})
+	if err != nil {
 		return Estimate{}, err
 	}
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"flowrel/internal/anytime"
 	"flowrel/internal/graph"
@@ -39,12 +38,6 @@ func (e Estimate) ConfidenceInterval(z float64) (lo, hi float64) {
 	return lo, hi
 }
 
-// mcCheckEvery is the per-worker cancellation poll grain for the sampling
-// engines; samples are dearer than enumeration steps (|E| PRNG draws plus
-// a max flow each), so a finer grain than anytime.CheckEvery costs
-// nothing measurable.
-const mcCheckEvery = 256
-
 // MonteCarlo estimates the reliability by sampling failure configurations.
 // The sample set is split into fixed-size blocks, each driven by its own
 // deterministic PRNG stream derived from seed, so the result is identical
@@ -73,54 +66,21 @@ func MonteCarlo(g *graph.Graph, dem graph.Demand, samples int, seed int64, opt O
 	nBlocks := (samples + blockSize - 1) / blockSize
 	hits := make([]int, nBlocks)
 	done := make([]int, nBlocks)
-	errs := make([]error, nBlocks)
-
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, opt.workers())
-	for b := 0; b < nBlocks; b++ {
-		wg.Add(1)
-		go func(b int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			var cur uint64
-			defer anytime.RecoverInto(&errs[b], opt.Ctl, "Monte Carlo worker", &cur)
-			if opt.Ctl.Stopped() {
-				return
+	err := anytime.Run(opt.Ctl, opt.Parallelism, nBlocks, "Monte Carlo worker", func(b int, cur *uint64) {
+		rng := rand.New(rand.NewSource(seed + int64(b)*0x5851F42D4C957F2D))
+		nw := proto.Clone()
+		h := 0
+		done[b] = anytime.Sample(opt.Ctl, opt.TestHook, nw, min(blockSize, samples-b*blockSize), cur, func() {
+			for j := range handles {
+				nw.SetEnabled(handles[j], rng.Float64() >= pFail[j])
 			}
-			n := blockSize
-			if b == nBlocks-1 {
-				n = samples - b*blockSize
+			if nw.MaxFlow(s, t, dem.D) >= dem.D {
+				h++
 			}
-			rng := rand.New(rand.NewSource(seed + int64(b)*0x5851F42D4C957F2D))
-			nw := proto.Clone()
-			h := 0
-			var callsMark int64
-			for i := 0; i < n; i++ {
-				if i > 0 && i%mcCheckEvery == 0 {
-					if !opt.Ctl.Charge(mcCheckEvery, nw.Stats.MaxFlowCalls-callsMark) {
-						break
-					}
-					callsMark = nw.Stats.MaxFlowCalls
-				}
-				cur = uint64(i)
-				if opt.TestHook != nil {
-					opt.TestHook(cur)
-				}
-				for j := range handles {
-					nw.SetEnabled(handles[j], rng.Float64() >= pFail[j])
-				}
-				if nw.MaxFlow(s, t, dem.D) >= dem.D {
-					h++
-				}
-				done[b]++
-			}
-			opt.Ctl.Charge(uint64(done[b]%mcCheckEvery), nw.Stats.MaxFlowCalls-callsMark)
-			hits[b] = h
-		}(b)
-	}
-	wg.Wait()
-	if err := firstError(errs); err != nil {
+		})
+		hits[b] = h
+	})
+	if err != nil {
 		return Estimate{}, err
 	}
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/big"
 	"math/bits"
-	"sync"
 
 	"flowrel/internal/anytime"
 	"flowrel/internal/conf"
@@ -45,24 +44,23 @@ func Naive(g *graph.Graph, dem graph.Demand, opt Options) (Result, error) {
 	partial := make([]float64, len(chunks))
 	examined := make([]float64, len(chunks))
 	stats := make([]Stats, len(chunks))
-	errs := make([]error, len(chunks))
-
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, opt.workers())
-	for ci, r := range chunks {
-		wg.Add(1)
-		go func(ci int, lo, hi uint64) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			cur := lo
-			defer anytime.RecoverInto(&errs[ci], opt.Ctl, "naive enumeration worker", &cur)
-			nw := proto.Clone()
-			partial[ci], examined[ci], stats[ci] = naiveBinaryChunk(nw, handles, table, s, t, dem.D, lo, hi, &opt, &cur)
-		}(ci, r[0], r[1])
-	}
-	wg.Wait()
-	if err := firstError(errs); err != nil {
+	err := anytime.Run(opt.Ctl, opt.Parallelism, len(chunks), "naive enumeration worker", func(ci int, cur *uint64) {
+		nw := proto.Clone()
+		var st Stats
+		sum, exam := 0.0, 0.0
+		anytime.Walk(opt.Ctl, opt.TestHook, nw, handles, chunks[ci][0], chunks[ci][1], cur, func(mask uint64) {
+			st.Configs++
+			p := table.Prob(mask)
+			exam += p
+			if nw.MaxFlow(s, t, dem.D) >= dem.D {
+				st.Admitting++
+				sum += p
+			}
+		})
+		st.MaxFlowCalls, st.AugmentUnits = nw.Stats.MaxFlowCalls, nw.Stats.AugmentUnits
+		partial[ci], examined[ci], stats[ci] = sum, exam, st
+	})
+	if err != nil {
 		return Result{}, err
 	}
 
@@ -73,55 +71,9 @@ func Naive(g *graph.Graph, dem graph.Demand, opt Options) (Result, error) {
 		exam += examined[ci]
 		res.Stats.add(stats[ci])
 	}
-	res.seal(opt.Ctl, res.Reliability, exam-res.Reliability)
+	res.Seal(opt.Ctl, res.Reliability, exam-res.Reliability)
 	return res, nil
 }
-
-// naiveBinaryChunk walks masks [lo, hi) in binary order, re-solving from
-// scratch per configuration (only the edges whose state differs from the
-// previous mask are toggled, but the flow restarts at zero). It returns
-// the admitting and total probability mass of the configurations it
-// actually examined before the controller stopped it.
-func naiveBinaryChunk(nw *maxflow.Network, handles []maxflow.Handle, table *conf.Table, s, t int32, d int, lo, hi uint64, opt *Options, cur *uint64) (float64, float64, Stats) {
-	var st Stats
-	sum, exam := 0.0, 0.0
-	prev := ^uint64(0) // all enabled, the state FromGraph builds
-	var sinceCheck uint64
-	var callsMark int64
-	for mask := lo; mask < hi; mask++ {
-		if sinceCheck >= anytime.CheckEvery {
-			if !opt.Ctl.Charge(sinceCheck, nw.Stats.MaxFlowCalls-callsMark) {
-				break
-			}
-			sinceCheck, callsMark = 0, nw.Stats.MaxFlowCalls
-		}
-		*cur = mask
-		if opt.TestHook != nil {
-			opt.TestHook(mask)
-		}
-		diff := (mask ^ prev) & (1<<uint(len(handles)) - 1)
-		for diff != 0 {
-			i := trailingZeros(diff)
-			diff &= diff - 1
-			nw.SetEnabled(handles[i], mask&(1<<uint(i)) != 0)
-		}
-		prev = mask
-		st.Configs++
-		sinceCheck++
-		p := table.Prob(mask)
-		exam += p
-		if nw.MaxFlow(s, t, d) >= d {
-			st.Admitting++
-			sum += p
-		}
-	}
-	opt.Ctl.Charge(sinceCheck, nw.Stats.MaxFlowCalls-callsMark)
-	st.MaxFlowCalls = nw.Stats.MaxFlowCalls
-	st.AugmentUnits = nw.Stats.AugmentUnits
-	return sum, exam, st
-}
-
-func trailingZeros(x uint64) int { return bits.TrailingZeros64(x) }
 
 // NaiveExact computes the reliability by the same enumeration in exact
 // rational arithmetic (link probabilities are taken as the exact rational
@@ -160,7 +112,7 @@ func NaiveExactCtx(ctx context.Context, g *graph.Graph, dem graph.Demand) (*big.
 		}
 		diff := (mask ^ prev) & (total - 1)
 		for diff != 0 {
-			i := trailingZeros(diff)
+			i := bits.TrailingZeros64(diff)
 			diff &= diff - 1
 			nw.SetEnabled(handles[i], mask&(1<<uint(i)) != 0)
 		}

@@ -89,11 +89,12 @@ type Result struct {
 	Reason string
 }
 
-// seal finalizes a Result: on complete runs it pins Lo = Hi =
+// Seal finalizes a Result: on complete runs it pins Lo = Hi =
 // Reliability; on interrupted runs it certifies [Lo, Hi] from the proven
 // admitting mass lo and proven failing mass refuted, and reports the
-// midpoint as the point estimate.
-func (r *Result) seal(ctl *anytime.Ctl, lo, refuted float64) {
+// midpoint as the point estimate. The enumeration engines of other
+// packages (multicast) seal their intervals with it too.
+func (r *Result) Seal(ctl *anytime.Ctl, lo, refuted float64) {
 	if !ctl.Stopped() {
 		r.Lo, r.Hi = r.Reliability, r.Reliability
 		return
@@ -113,16 +114,6 @@ func (r *Result) seal(ctl *anytime.Ctl, lo, refuted float64) {
 	r.Lo, r.Hi = lo, hi
 	r.Reliability = (lo + hi) / 2
 	r.Reason = ctl.Reason()
-}
-
-// firstError returns the first non-nil error of a per-worker slice.
-func firstError(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func validate(g *graph.Graph, dem graph.Demand) error {

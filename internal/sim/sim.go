@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"flowrel/internal/anytime"
 	"flowrel/internal/bitset"
@@ -66,11 +65,6 @@ func Run(g *graph.Graph, dem graph.Demand, cfg Config) (Report, error) {
 	if cfg.Sessions < 1 {
 		return Report{}, fmt.Errorf("sim: session count %d must be ≥ 1", cfg.Sessions)
 	}
-	workers := cfg.Parallelism
-	if workers <= 0 {
-		workers = defaultParallelism()
-	}
-
 	proto, handles := maxflow.FromGraph(g)
 	pFail := make([]float64, g.NumEdges())
 	for i, e := range g.Edges() {
@@ -87,75 +81,44 @@ func Run(g *graph.Graph, dem graph.Demand, cfg Config) (Report, error) {
 		pathCount  int64
 	}
 	blocks := make([]blockStats, nBlocks)
-	errs := make([]error, nBlocks)
-
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for bi := 0; bi < nBlocks; bi++ {
-		wg.Add(1)
-		go func(bi int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			var cur uint64
-			defer anytime.RecoverInto(&errs[bi], cfg.Ctl, "simulation worker", &cur)
-			if cfg.Ctl.Stopped() {
-				return
-			}
-			n := blockSize
-			if bi == nBlocks-1 {
-				n = cfg.Sessions - bi*blockSize
-			}
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(bi)*0x5851F42D4C957F2D))
-			nw := proto.Clone()
-			var alive *bitset.Set
-			if cfg.CollectPaths {
-				alive = bitset.New(g.NumEdges())
-			}
-			st := &blocks[bi]
-			var callsMark int64
-			for i := 0; i < n; i++ {
-				if i > 0 && i%256 == 0 {
-					if !cfg.Ctl.Charge(256, nw.Stats.MaxFlowCalls-callsMark) {
-						break
-					}
-					callsMark = nw.Stats.MaxFlowCalls
-				}
-				cur = uint64(i)
-				if alive != nil {
-					alive.Reset()
-				}
-				for j := range handles {
-					up := rng.Float64() >= pFail[j]
-					nw.SetEnabled(handles[j], up)
-					if up && alive != nil {
-						alive.Set(j)
-					}
-				}
-				got := nw.MaxFlow(int32(dem.S), int32(dem.T), dem.D)
-				st.substreams += int64(got)
-				if got >= dem.D {
-					st.delivered++
-				}
-				if cfg.CollectPaths && got > 0 {
-					paths, err := flowdecomp.Paths(g, dem, alive)
-					if err == nil {
-						for _, p := range paths {
-							st.hops += int64(p.Hops())
-							st.pathCount++
-						}
-					}
-				}
-				st.done++
-			}
-			cfg.Ctl.Charge(uint64(st.done%256), nw.Stats.MaxFlowCalls-callsMark)
-		}(bi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return Report{}, err
+	err := anytime.Run(cfg.Ctl, cfg.Parallelism, nBlocks, "simulation worker", func(bi int, cur *uint64) {
+		rng := rand.New(rand.NewSource(cfg.Seed + int64(bi)*0x5851F42D4C957F2D))
+		nw := proto.Clone()
+		var alive *bitset.Set
+		if cfg.CollectPaths {
+			alive = bitset.New(g.NumEdges())
 		}
+		var st blockStats
+		st.done = anytime.Sample(cfg.Ctl, nil, nw, min(blockSize, cfg.Sessions-bi*blockSize), cur, func() {
+			if alive != nil {
+				alive.Reset()
+			}
+			for j := range handles {
+				up := rng.Float64() >= pFail[j]
+				nw.SetEnabled(handles[j], up)
+				if up && alive != nil {
+					alive.Set(j)
+				}
+			}
+			got := nw.MaxFlow(int32(dem.S), int32(dem.T), dem.D)
+			st.substreams += int64(got)
+			if got >= dem.D {
+				st.delivered++
+			}
+			if cfg.CollectPaths && got > 0 {
+				paths, err := flowdecomp.Paths(g, dem, alive)
+				if err == nil {
+					for _, p := range paths {
+						st.hops += int64(p.Hops())
+						st.pathCount++
+					}
+				}
+			}
+		})
+		blocks[bi] = st
+	})
+	if err != nil {
+		return Report{}, err
 	}
 
 	rep := Report{}
