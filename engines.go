@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/big"
+	"slices"
 	"time"
 
 	"flowrel/internal/anytime"
@@ -64,6 +65,7 @@ type Config struct {
 	Engine Engine
 	// Bottleneck optionally fixes the bottleneck link set for EngineCore;
 	// nil lets the solver search for the most balanced minimal cut.
+	// Validate rejects a link outside the graph or listed twice.
 	Bottleneck []EdgeID
 	// MaxBottleneck bounds the bottleneck search (default 3).
 	MaxBottleneck int
@@ -115,6 +117,18 @@ func (cfg Config) Validate(g *Graph) error {
 	}
 	if g != nil && cfg.MaxBottleneck > g.NumEdges() {
 		return fmt.Errorf("flowrel: MaxBottleneck %d exceeds the graph's %d links; a minimal cut never has more links than the graph", cfg.MaxBottleneck, g.NumEdges())
+	}
+	if g != nil && len(cfg.Bottleneck) > 0 {
+		links := slices.Clone(cfg.Bottleneck)
+		slices.Sort(links)
+		for i, e := range links {
+			if e < 0 || int(e) >= g.NumEdges() {
+				return fmt.Errorf("flowrel: Bottleneck link %d out of range [0,%d)", e, g.NumEdges())
+			}
+			if i > 0 && e == links[i-1] {
+				return fmt.Errorf("flowrel: Bottleneck lists link %d twice", e)
+			}
+		}
 	}
 	if err := cfg.Budget.Validate(); err != nil {
 		return err

@@ -210,6 +210,51 @@ func TestFacadeBottleneckHelpers(t *testing.T) {
 	}
 }
 
+// TestBadBottleneckIsAnError hands every entry point that takes an
+// explicit bottleneck a link set with an out-of-range or a repeated link:
+// each call returns an error and none panics. The compiling calls differ
+// in MaxSideEdges, so each has a plan-cache key of its own and none can
+// wait on another's compile.
+func TestBadBottleneckIsAnError(t *testing.T) {
+	g, dem := figure2Demand()
+	m := EdgeID(g.NumEdges())
+	for _, cut := range [][]EdgeID{{m}, {-1}, {0, m + 5}, {0, 0}} {
+		calls := []struct {
+			name string
+			call func() error
+		}{
+			{"SplitBottleneck", func() error {
+				_, err := SplitBottleneck(g, dem.S, dem.T, cut)
+				return err
+			}},
+			{"Compute (core)", func() error {
+				_, err := Compute(g, dem, Config{Engine: EngineCore, Bottleneck: cut, MaxSideEdges: 20})
+				return err
+			}},
+			{"Compute (auto)", func() error {
+				_, err := Compute(g, dem, Config{Bottleneck: cut, MaxSideEdges: 19})
+				return err
+			}},
+			{"CompilePlan", func() error {
+				_, err := CompilePlan(g, dem, Config{Bottleneck: cut, MaxSideEdges: 18})
+				return err
+			}},
+		}
+		for _, c := range calls {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s with bottleneck %v panicked: %v", c.name, cut, r)
+					}
+				}()
+				if err := c.call(); err == nil {
+					t.Errorf("%s accepted bottleneck %v on %d links", c.name, cut, m)
+				}
+			}()
+		}
+	}
+}
+
 func TestFacadeOverlaysAndPaths(t *testing.T) {
 	o, err := MultiTreeOverlay(6, 2, 2, 0.05)
 	if err != nil {

@@ -9,6 +9,7 @@ import "flowrel/internal/stats"
 var (
 	mCompiles          = stats.Default.Counter("core.compiles")
 	mCompileTime       = stats.Default.Timer("core.compile_time")
+	mCutSearchTime     = stats.Default.Timer("core.cut_search_time")
 	mSideConfigs       = stats.Default.Counter("core.side_configs")
 	mMaxFlowCalls      = stats.Default.Counter("core.max_flow_calls")
 	mAugmentingPaths   = stats.Default.Counter("core.augmenting_paths")

@@ -112,14 +112,17 @@ func Compile(g *graph.Graph, dem graph.Demand, opt Options) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if tr := opt.Ctl.Tracer(); tr != nil {
-		tr.OnPhase(stats.PhaseEvent{
-			Engine:   "core",
-			Phase:    "cut-search",
-			Duration: time.Since(searchStart),
-		})
-	}
+	observeCutSearch(opt.Ctl, time.Since(searchStart))
 	return CompileWithBottleneck(g, dem, bt, opt)
+}
+
+// observeCutSearch charges one cut search, or the split that stands in
+// for it, to the registry and the tracer's cut-search phase.
+func observeCutSearch(ctl *anytime.Ctl, d time.Duration) {
+	mCutSearchTime.Observe(d)
+	if tr := ctl.Tracer(); tr != nil {
+		tr.OnPhase(stats.PhaseEvent{Engine: "core", Phase: "cut-search", Duration: d})
+	}
 }
 
 // CompileWithBottleneck compiles on a pre-validated bottleneck split.
@@ -293,13 +296,7 @@ func mutateCompile(parent *Plan, gOld, g *graph.Graph, dem graph.Demand, mut gra
 	if err != nil {
 		return nil, err
 	}
-	if tr := opt.Ctl.Tracer(); tr != nil {
-		tr.OnPhase(stats.PhaseEvent{
-			Engine:   "core",
-			Phase:    "cut-search",
-			Duration: time.Since(searchStart),
-		})
-	}
+	observeCutSearch(opt.Ctl, time.Since(searchStart))
 
 	cut2, ok := remapCutLinks(parent.Cut, remap)
 	if !ok || !equalCuts(bt.Cut, cut2) {

@@ -311,61 +311,66 @@ func (sg *Subgraph) HasNode(n NodeID) bool {
 }
 
 // Induced returns the subgraph induced by the nodes for which inside[n] is
-// true, keeping every link whose two endpoints are inside.
+// true, keeping every link whose two endpoints are inside. Nodes and
+// links keep their parent order, so the result equals what a Builder
+// adding them in that order would build; it is built in place instead,
+// every slice sized exactly and the adjacency rows cut from one array.
 func (g *Graph) Induced(inside []bool) *Subgraph {
 	if len(inside) != len(g.adj) {
 		panic("graph: Induced membership slice has wrong length")
 	}
-	sg := &Subgraph{NodeOf: make([]NodeID, len(g.adj))}
-	b := NewBuilder()
-	for i := range g.adj {
-		if inside[i] {
-			sg.NodeOf[i] = b.AddNamedNode(g.names[i])
-			sg.ParentNode = append(sg.ParentNode, NodeID(i))
-		} else {
-			sg.NodeOf[i] = -1
+	nodes, links := 0, 0
+	for _, in := range inside {
+		if in {
+			nodes++
 		}
 	}
 	for _, e := range g.edges {
 		if inside[e.U] && inside[e.V] {
-			b.AddEdge(sg.NodeOf[e.U], sg.NodeOf[e.V], e.Cap, e.PFail)
+			links++
+		}
+	}
+	sg := &Subgraph{NodeOf: make([]NodeID, len(g.adj))}
+	sub := &Graph{adj: make([][]EdgeID, nodes)}
+	if nodes > 0 {
+		sg.ParentNode = make([]NodeID, 0, nodes)
+		sub.names = make([]string, 0, nodes)
+	}
+	if links > 0 {
+		sg.ParentEdge = make([]EdgeID, 0, links)
+		sub.edges = make([]Edge, 0, links)
+	}
+	rows := make([]EdgeID, 2*links)
+	for i, in := range inside {
+		if !in {
+			sg.NodeOf[i] = -1
+			continue
+		}
+		n := NodeID(len(sg.ParentNode))
+		sg.NodeOf[i] = n
+		sg.ParentNode = append(sg.ParentNode, NodeID(i))
+		sub.names = append(sub.names, g.names[i])
+		deg := 0
+		for _, eid := range g.adj[i] {
+			if e := g.edges[eid]; inside[e.U] && inside[e.V] {
+				deg++
+			}
+		}
+		if deg > 0 {
+			sub.adj[n], rows = rows[:0:deg], rows[deg:]
+		}
+	}
+	for _, e := range g.edges {
+		if inside[e.U] && inside[e.V] {
+			id, u, v := EdgeID(len(sub.edges)), sg.NodeOf[e.U], sg.NodeOf[e.V]
+			sub.edges = append(sub.edges, Edge{ID: id, U: u, V: v, Cap: e.Cap, PFail: e.PFail})
+			sub.adj[u] = append(sub.adj[u], id)
+			sub.adj[v] = append(sub.adj[v], id)
 			sg.ParentEdge = append(sg.ParentEdge, e.ID)
 		}
 	}
-	sg.G = b.MustBuild()
+	sg.G = sub
 	return sg
-}
-
-// SplitByCut removes the links in cut and, if the remainder has exactly two
-// weakly connected components with s and t in different ones, returns the
-// two induced sides (side containing s first). Otherwise it returns an
-// error.
-func (g *Graph) SplitByCut(s, t NodeID, cut []EdgeID) (gs, gt *Subgraph, err error) {
-	alive := bitset.New(len(g.edges))
-	alive.SetAll()
-	for _, eid := range cut {
-		if eid < 0 || int(eid) >= len(g.edges) {
-			return nil, nil, fmt.Errorf("graph: cut edge %d out of range", eid)
-		}
-		alive.Clear(int(eid))
-	}
-	comp, count := g.WeakComponents(alive)
-	if count != 2 {
-		return nil, nil, fmt.Errorf("graph: removing the cut yields %d connected components, want exactly 2", count)
-	}
-	if comp[s] == comp[t] {
-		return nil, nil, fmt.Errorf("graph: cut does not separate nodes %d and %d", s, t)
-	}
-	insideS := make([]bool, len(g.adj))
-	insideT := make([]bool, len(g.adj))
-	for n, c := range comp {
-		if c == comp[s] {
-			insideS[n] = true
-		} else {
-			insideT[n] = true
-		}
-	}
-	return g.Induced(insideS), g.Induced(insideT), nil
 }
 
 // WithCapacity returns a copy of g with link e's capacity set to c. Only

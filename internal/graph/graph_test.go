@@ -178,13 +178,11 @@ func TestWeakComponents(t *testing.T) {
 	}
 }
 
-func TestInducedAndSplitByCut(t *testing.T) {
+func TestInduced(t *testing.T) {
 	g, s, tt := diamond(t)
-	// Cut {a-t (2), b-t (3)} separates {s,a,b} from {t}.
-	gs, gt, err := g.SplitByCut(s, tt, []EdgeID{2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The cut {a-t (2), b-t (3)} separates {s,a,b} from {t}.
+	gs := g.Induced([]bool{true, true, true, false})
+	gt := g.Induced([]bool{false, false, false, true})
 	if gs.G.NumNodes() != 3 || gt.G.NumNodes() != 1 {
 		t.Fatalf("split sizes %d/%d", gs.G.NumNodes(), gt.G.NumNodes())
 	}
@@ -206,26 +204,33 @@ func TestInducedAndSplitByCut(t *testing.T) {
 		if se.Cap != pe.Cap || !testutil.AlmostEqual(se.PFail, pe.PFail, 0) {
 			t.Fatal("edge attributes lost in induction")
 		}
+		if gs.ParentNode[se.U] != pe.U || gs.ParentNode[se.V] != pe.V {
+			t.Fatal("edge endpoints lost in induction")
+		}
+	}
+	// Each induced node's incidence list is its parent's, restricted to
+	// induced links, in the same order.
+	for sub, par := range gs.ParentNode {
+		var want []EdgeID
+		for _, pe := range g.Incident(par) {
+			e := g.Edge(pe)
+			if gs.HasNode(e.U) && gs.HasNode(e.V) {
+				want = append(want, pe)
+			}
+		}
+		got := gs.G.Incident(NodeID(sub))
+		if len(got) != len(want) {
+			t.Fatalf("node %d has %d induced links, want %d", sub, len(got), len(want))
+		}
+		for i, se := range got {
+			if gs.ParentEdge[se] != want[i] {
+				t.Fatalf("node %d incidence %v, want parent links %v", sub, got, want)
+			}
+		}
 	}
 	// Name survives induction.
 	if nm := gs.G.NodeName(gs.NodeOf[s]); nm != "s" {
 		t.Fatalf("induced name = %q", nm)
-	}
-}
-
-func TestSplitByCutErrors(t *testing.T) {
-	g, s, tt := diamond(t)
-	// Not a separating set.
-	if _, _, err := g.SplitByCut(s, tt, []EdgeID{0}); err == nil {
-		t.Fatal("expected error: cut does not separate")
-	}
-	// Out of range.
-	if _, _, err := g.SplitByCut(s, tt, []EdgeID{99}); err == nil {
-		t.Fatal("expected error: edge out of range")
-	}
-	// Three components: kill everything around a: {0 s-a, 2 a-t, 4 a-b}
-	if _, _, err := g.SplitByCut(s, tt, []EdgeID{0, 2, 4, 1}); err == nil {
-		t.Fatal("expected error: more than two components")
 	}
 }
 

@@ -221,6 +221,26 @@ func TestSplitErrors(t *testing.T) {
 	}
 }
 
+// TestSplitCutErrors holds the checks that graph.SplitByCut made before
+// Split took over labelling G - C; a cut that does not separate s from t is
+// checked in TestSplitErrors.
+func TestSplitCutErrors(t *testing.T) {
+	g, s, tt, bridge := bridgeGraph(t)
+	for _, cut := range [][]graph.EdgeID{{99}, {-1}, {bridge, 99}} {
+		if _, err := Split(g, s, tt, cut); err == nil {
+			t.Fatalf("out-of-range cut %v accepted", cut)
+		}
+	}
+	// A node no link touches makes a third component.
+	b := graph.NewBuilder()
+	u, v := b.AddNode(), b.AddNode()
+	b.AddNode()
+	link := b.AddEdge(u, v, 1, 0.1)
+	if _, err := Split(b.MustBuild(), u, v, []graph.EdgeID{link}); err == nil {
+		t.Fatal("split into three components accepted")
+	}
+}
+
 func TestFindPrefersBalancedCut(t *testing.T) {
 	g, s, tt, bridge := bridgeGraph(t)
 	b, err := Find(g, s, tt, 2)

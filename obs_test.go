@@ -132,3 +132,26 @@ type funcTracer struct {
 func (f *funcTracer) OnPhase(e stats.PhaseEvent) { f.onPhase(e) }
 func (f *funcTracer) OnConfig(stats.ConfigEvent) {}
 func (f *funcTracer) OnRung(e stats.RungEvent)   { f.onRung(e) }
+
+// TestCutSearchTimer checks that a cold compile and a delta compile each
+// observe core.cut_search_time once.
+func TestCutSearchTimer(t *testing.T) {
+	withPlanCacheShards(t, planCacheShards, defaultPlanCacheCapacity)
+	g, dem := obsTestGraph(t)
+	before := StatsSnapshot()
+	p, err := CompilePlan(g, dem, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Mutate(Mutation{Kind: MutateAdd, U: 1, V: 2, Cap: 1, PFail: 0.1}); err != nil {
+		t.Fatal(err)
+	}
+	d := StatsSnapshot().Delta(before)
+	if got := d.Timers["core.cut_search_time"].Count; got != 2 {
+		t.Fatalf("core.cut_search_time observed %d times over a compile and a mutation, want 2", got)
+	}
+	if d.Timers["core.compile_time"].Count != 1 || d.Timers["core.delta_compile_time"].Count != 1 {
+		t.Fatalf("compile_time %d, delta_compile_time %d observations, want 1 each",
+			d.Timers["core.compile_time"].Count, d.Timers["core.delta_compile_time"].Count)
+	}
+}

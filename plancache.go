@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -393,13 +394,27 @@ func cachedPlan(ctl *anytime.Ctl, g *Graph, dem Demand, cfg Config, compile func
 			continue
 		}
 
-		p, err := compile()
-		fl.plan, fl.err = p, err
-		shard.publish(key, p, err)
-		close(fl.done)
+		p, err := shard.lead(key, fl, compile)
 		if err != nil {
 			return nil, false, err
 		}
 		return p, false, nil
 	}
+}
+
+// errCompilePanicked is what waiters on a leader whose compile panicked
+// see; like any leader failure, it sends them to compile themselves.
+var errCompilePanicked = errors.New("flowrel: plan compile panicked")
+
+// lead runs compile as key's leader and releases the key on every exit.
+// A panicking compile publishes as a failed one, so the key stays usable
+// and its waiters retry, and the panic goes on to the leader's caller.
+func (s *planShard) lead(key string, fl *inflightCompile, compile func() (*core.Plan, error)) (*core.Plan, error) {
+	fl.err = errCompilePanicked // stands unless compile returns
+	defer func() {
+		s.publish(key, fl.plan, fl.err)
+		close(fl.done)
+	}()
+	fl.plan, fl.err = compile()
+	return fl.plan, fl.err
 }

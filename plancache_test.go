@@ -1,10 +1,15 @@
 package flowrel
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
+
+	"flowrel/internal/anytime"
+	"flowrel/internal/core"
 )
 
 // cacheTestInstance builds a tiny two-path instance whose structure is
@@ -324,6 +329,79 @@ func TestPlanCacheLeaderErrorRetryPerShard(t *testing.T) {
 	if otherTotal != 0 {
 		t.Errorf("unrelated shard saw %d lookups, want 0", otherTotal)
 	}
+}
+
+// TestPlanCacheLeaderPanicReleasesKey panics inside a leader's compile,
+// once with a waiter already joined and once alone, and checks that the
+// panic reaches the leader's caller while the key stays usable: the
+// waiter and a later lookup compile the key themselves instead of
+// waiting forever on the dead leader.
+func TestPlanCacheLeaderPanicReleasesKey(t *testing.T) {
+	withPlanCacheShards(t, planCacheShards, defaultPlanCacheCapacity)
+	g, dem := cacheTestInstance(t, 2)
+	key := planKey(g, dem, Config{})
+	shard := planCache.shardFor(key)
+	ctl := anytime.New(context.Background(), Budget{})
+	lookup := func() <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, _, err := planFor(ctl, g, dem, Config{})
+			done <- err
+		}()
+		return done
+	}
+	wait := func(done <-chan error, who string) {
+		t.Helper()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", who, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s is still waiting on a leader whose compile panicked", who)
+		}
+	}
+
+	release := make(chan struct{})
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		_, _, _ = cachedPlan(ctl, g, dem, Config{}, func() (*core.Plan, error) {
+			<-release
+			panic("compile bug")
+		})
+	}()
+	for {
+		shard.mu.Lock()
+		_, leading := shard.inflight[key]
+		shard.mu.Unlock()
+		if leading {
+			break
+		}
+		runtime.Gosched()
+	}
+	waiter := lookup()
+	for {
+		shard.mu.Lock()
+		joined := shard.dedups > 0
+		shard.mu.Unlock()
+		if joined {
+			break
+		}
+		runtime.Gosched()
+	}
+	close(release)
+	if r := <-recovered; r != "compile bug" {
+		t.Fatalf("leader recovered %v, want its compile's panic", r)
+	}
+	wait(waiter, "a waiter joined before the panic")
+
+	ResetPlanCache()
+	func() {
+		defer func() { _ = recover() }()
+		_, _, _ = cachedPlan(ctl, g, dem, Config{}, func() (*core.Plan, error) { panic("compile bug") })
+	}()
+	wait(lookup(), "a lookup after the panic")
 }
 
 // TestStructuralHashMatchesCacheKey pins the exported handle to the
