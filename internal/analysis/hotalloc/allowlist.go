@@ -45,15 +45,6 @@ var allowlist = map[string][]allowance{
 		`^leaking param: (p|base)$`,
 	),
 
-	// walkDelta: the realization array flows out through the result (the
-	// walk copies-on-first-write, so the caller can share the parent's
-	// array pointer-wise after a no-op walk — returning the slice is the
-	// point). The clone only fires when a word actually changes, in
-	// which case the array had to be materialized anyway.
-	"core.walkDelta": allow(
-		`^leaking param: out to result ~r0 level=0$`,
-	),
-
 	// runPool: the worker closure, the shared counter, the WaitGroup and
 	// the panic latch all live on the heap for the pool's lifetime — a
 	// constant handful of allocations per batch, never per item. Callers

@@ -369,11 +369,12 @@ func sinkProbability(dist []float64, seg *graph.Subgraph, t graph.NodeID, heads 
 // segment realizes exactly the assignments r of ds. toSink=true for the
 // source segment (route from the terminal to the cut tails), false for
 // the sink segment (from the cut heads to the terminal). The law is
-// summed densely in mask order (a map would sum in random iteration
-// order and break bit-determinism).
+// summed densely in mask order, reading each mask's realized set from the
+// walk's rows (a map would sum in random iteration order and break
+// bit-determinism).
 func endLaw(seg *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, toSink bool, ds *assign.Set, opt Options) ([]float64, int64, error) {
 	var st core.Stats
-	realized, _, err := core.BuildSide(seg, terminal, ends, toSink, ds, &core.Options{Ctl: opt.Ctl, TestHook: opt.TestHook}, &st)
+	rows, err := core.BuildSide(seg, terminal, ends, toSink, ds, &core.Options{Ctl: opt.Ctl, TestHook: opt.TestHook}, &st)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -381,12 +382,7 @@ func endLaw(seg *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, toS
 	for i, e := range seg.G.Edges() {
 		pFail[i] = e.PFail
 	}
-	table := conf.NewTable(pFail)
-	law := make([]float64, uint64(1)<<uint(ds.Len()))
-	for mask, rm := range realized {
-		law[rm] += table.Prob(uint64(mask))
-	}
-	return law, st.MaxFlowCalls, nil
+	return core.SideLaw(rows, ds.Len(), pFail), st.MaxFlowCalls, nil
 }
 
 // middleTransition pushes the reachable-set distribution through one

@@ -212,13 +212,14 @@ func planResult(plan *Plan) (Result, error) {
 
 // buildSide is BuildSide for one side of a compile: it records the
 // side's configuration count and reports the side's phase to the tracer.
-func buildSide(sub *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, toSink bool, ds *assign.Set, opt *Options, st *Stats, sideIdx int) (realized, rows []uint64, err error) {
+func buildSide(sub *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, toSink bool, ds *assign.Set, opt *Options, st *Stats, sideIdx int) ([]uint64, error) {
 	buildStart := time.Now()
 	callsBefore := st.MaxFlowCalls
-	if realized, rows, err = BuildSide(sub, terminal, ends, toSink, ds, opt, st); err != nil {
-		return nil, nil, err
+	rows, err := BuildSide(sub, terminal, ends, toSink, ds, opt, st)
+	if err != nil {
+		return nil, err
 	}
-	st.SideConfigs[sideIdx] = uint64(len(realized))
+	st.SideConfigs[sideIdx] = uint64(1) << uint(sub.G.NumEdges())
 	if tr := opt.Ctl.Tracer(); tr != nil {
 		tr.OnPhase(stats.PhaseEvent{
 			Engine:       "core",
@@ -228,31 +229,31 @@ func buildSide(sub *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, 
 			MaxFlowCalls: st.MaxFlowCalls - callsBefore,
 		})
 	}
-	return realized, rows, nil
+	return rows, nil
 }
 
 // BuildSide constructs the §III-C realization array for one component:
 // for every failure configuration of the component's links, the set of
-// assignments it realizes (as a bit mask over 𝒟). Occurrence
+// assignments it realizes, kept as the walk decides it: one bit row per
+// assignment (frontier.go, rows.go), whose law SideLaw sums. Occurrence
 // probabilities are *not* part of it — they belong to the evaluate phase
 // (Plan.Eval), which is what makes a compiled Plan reusable across
 // probability vectors. terminal is the component's real terminal (s or
-// t, in component node IDs); ends are the component-side endpoints of the
-// bottleneck links (x_i or y_i); toSink selects the G_s orientation
+// t, in component node IDs); ends are the component-side endpoints of
+// the bottleneck links (x_i or y_i); toSink selects the G_s orientation
 // (route from terminal to the bottleneck endpoints) versus G_t (from the
-// endpoints to the terminal). It also returns the walk's rows, the same
-// array as one bit row per assignment. Only opt.Ctl and opt.TestHook are
-// read, and the walk's work is added to st. The chain solver builds its
-// end segments with it: each is the side of its outermost cut.
-func BuildSide(sub *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, toSink bool, ds *assign.Set, opt *Options, st *Stats) (realized, rows []uint64, err error) {
-	realized = make([]uint64, uint64(1)<<uint(sub.G.NumEdges()))
-	if rows, err = walkFrontier(newFrontierCtx(sub, terminal, ends, toSink, ds, opt), realized, st); err != nil {
-		return nil, nil, err
+// endpoints to the terminal). Only opt.Ctl and opt.TestHook are read, and
+// the walk's work is added to st. The chain solver builds its end
+// segments with it: each is the side of its outermost cut.
+func BuildSide(sub *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, toSink bool, ds *assign.Set, opt *Options, st *Stats) ([]uint64, error) {
+	rows, err := walkFrontier(newFrontierCtx(sub, terminal, ends, toSink, ds, opt), st)
+	if err != nil {
+		return nil, err
 	}
 	if opt.Ctl.Stopped() {
-		return nil, nil, fmt.Errorf("core: side-array construction interrupted: %w", opt.Ctl.Err())
+		return nil, fmt.Errorf("core: side-array construction interrupted: %w", opt.Ctl.Err())
 	}
-	return realized, rows, nil
+	return rows, nil
 }
 
 // sideProto builds the prototype max-flow network for one component: the

@@ -23,13 +23,17 @@ import (
 //     and the bottleneck-subset classes are identical; both are shared
 //     pointer-wise (they are immutable after compile).
 //   - A mutation on one side cannot change the other side's max flows:
-//     that side's realization array transfers verbatim.
-//   - On the touched side, feasibility is monotone in both the link set
-//     and the link capacities, so the parent's array brackets the new
-//     one: removing a link is a pure index extraction (zero max-flow
-//     calls), adding a link copies half the array, and a capacity change
-//     re-solves only configurations containing the changed link whose
-//     bit the parent cannot already decide.
+//     that side's rows transfer verbatim.
+//   - A link on no directed path between the side's terminals carries no
+//     flow in any configuration, so a capacity change on it changes no
+//     max flow: the touched side's rows transfer verbatim too.
+//   - Otherwise feasibility is monotone in both the link set and the
+//     link capacities, so the parent's rows bracket the new ones:
+//     removing a link is a pure bit extraction (zero max-flow calls),
+//     adding a link copies the parent's rows into the low half of each
+//     row, and a capacity change re-solves only configurations
+//     containing the changed link whose bit the parent cannot already
+//     decide.
 //
 // Budget parity: a cold compile charges its Ctl exactly
 // (2^{|E_s|} + 2^{|E_t|})·|𝒟| configurations — one per (assignment,
@@ -126,39 +130,69 @@ func sideAligned(parentLinks, remap, newLinks []graph.EdgeID, skip int) bool {
 	return k == len(newLinks)
 }
 
-// extractRemovedInto fills the child side's realization array after link
-// j was removed: child configuration c is the parent configuration with a
-// zero inserted at bit j (a disabled link and an absent link induce the
-// same network), so every entry is a pure index remap.
-//
-//flowrelvet:hotpath pure index-remap fill over the child side's configurations, zero allocations and zero max-flow calls (reviewed: PR-10)
-func extractRemovedInto(dst, src []uint64, j int) {
-	lowMask := uint64(1)<<uint(j) - 1
-	for c := range dst {
-		cm := uint64(c)
-		dst[c] = src[(cm&lowMask)|(cm&^lowMask)<<1]
+// offPath reports whether side link j lies on no directed path through
+// links of positive capacity from the side's sources to its sinks (G_s
+// routes from the real terminal to the cut endpoints, G_t from the
+// endpoints to the terminal): no source reaches its tail, or its head
+// reaches no sink. internal/reduce applies the same rule to whole
+// graphs. Such a link carries no flow in any configuration under any
+// capacity of its own, so a capacity change on it leaves every row as it
+// was.
+func offPath(sub *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, toSink bool, j int) bool {
+	from, to := []graph.NodeID{terminal}, ends
+	if !toSink {
+		from, to = to, from
 	}
+	e := sub.G.Edge(graph.EdgeID(j))
+	return !reaches(sub.G, from, e.U, false) || !reaches(sub.G, to, e.V, true)
+}
+
+// reaches reports whether target is reachable from one of starts along
+// links of positive capacity, followed backward when reverse is set.
+func reaches(g *graph.Graph, starts []graph.NodeID, target graph.NodeID, reverse bool) bool {
+	seen := make([]bool, g.NumNodes())
+	stack := append([]graph.NodeID(nil), starts...)
+	for _, u := range starts {
+		seen[u] = true
+	}
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if u == target {
+			return true
+		}
+		for _, eid := range g.Incident(u) {
+			e := g.Edge(eid)
+			tail, head := e.U, e.V
+			if reverse {
+				tail, head = head, tail
+			}
+			if tail == u && e.Cap > 0 && !seen[head] {
+				seen[head] = true
+				stack = append(stack, head)
+			}
+		}
+	}
+	return false
 }
 
 // walkDelta re-decides the touched-side configurations that contain the
-// mutated link (side bit j). out must already hold the transferred
-// entries: the low half for add, or the parent's own array for capacity
-// modes — capacity walks copy-on-first-write, so the returned slice IS
-// the parent array when no word changed (the caller shares it
-// pointer-wise) and a private copy otherwise. ww holds the rows, set up
-// from the parent side's by newWordWalk; they follow the same
-// copy-on-first-write and stay in ww.rows. Each visited mask charges
-// for itself and its j-less twin, keeping the side's total at 2^m·|𝒟|
-// exactly as a cold build would charge, and is handed to opt.TestHook
-// before its word, as in the cold walk. The bool is false when the
-// budget interrupts the walk.
+// mutated link (side bit j). ww holds the rows, set up from the parent
+// side's by newWordWalk: the low half of each row for add, the parent's
+// own rows for capacity modes. Capacity walks copy-on-first-write, so
+// ww.rows IS the parent's slice when no word changed (the caller shares
+// it pointer-wise) and a private copy otherwise. Each visited mask
+// charges for itself and its j-less twin, keeping the side's total at
+// 2^m·|𝒟| exactly as a cold build would charge, and is handed to
+// opt.TestHook before its word, as in the cold walk. It stops early when
+// the budget interrupts it, which the caller reads from opt.Ctl.
 //
 // The walk decides the cold walk's row words (frontier.go). A walked
 // word is a whole word when j is a high link, else the half of every
 // word whose bit j is set; the twin of a walked bit is then the word
 // without link j, or the same word's bit 2^j lower. The scans rest on
-// two consequences of the realization arrays being exact and therefore
-// monotone (S ⊆ S' implies realized(S) ⊆ realized(S')):
+// two consequences of the rows being exact and therefore monotone
+// (S ⊆ S' implies realized(S) ⊆ realized(S')):
 //
 //   - Parent and twin rows bracket the new one. Grow keeps the parent's
 //     realized bits and decides the rest; add keeps the twin's realized
@@ -173,9 +207,8 @@ func extractRemovedInto(dst, src []uint64, j int) {
 //     for this walk only.
 //
 //flowrelvet:hotpath one or two array words per configuration replace the per-mask closure scan, and downward infeasibility certificates replace re-confirming solves; bit-exact by monotonicity (reviewed: PR-10)
-func walkDelta(ww *wordWalk, out []uint64, j int, mode deltaMode, cur *uint64) ([]uint64, bool) {
+func walkDelta(ww *wordWalk, j int, mode deltaMode, cur *uint64) {
 	f, n := ww.f, ww.n
-	owned := mode == deltaAdd
 	walk, wordBit, twinShift := ww.valid, uint64(0), uint(0)
 	if j >= lowLinks {
 		wordBit = 1 << uint(j-lowLinks)
@@ -263,20 +296,16 @@ func walkDelta(ww *wordWalk, out []uint64, j int, mode deltaMode, cur *uint64) (
 					next |= ww.decideWord(a, wi, open, true)
 				}
 			}
-			if diff := next ^ p; diff != 0 {
-				if !owned {
-					out, owned = append([]uint64(nil), out...), true
-				}
+			if next != p {
 				ww.own()
-				ww.row(a)[wi] = old ^ diff
-				flip(out[base:], diff, a)
+				ww.row(a)[wi] = old&^walk | next
 			}
 		}
 		if !ww.charge(2*uint64(n)*per, false) {
-			return out, false
+			return
 		}
 	}
-	return out, ww.charge(0, true)
+	ww.charge(0, true)
 }
 
 // deltaSideState is the warm solver state one delta walk leaves behind for
@@ -384,6 +413,20 @@ type netStats struct {
 	calls, units, paths int64
 }
 
+// setCapacity patches side link j's new capacity into the state: the
+// capacity-bound vector, the prototype (future clones) and every warm
+// network, repairing the flows it carries.
+func (st *deltaSideState) setCapacity(j, c int) {
+	f, w := st.f, st.w
+	f.caps[j] = c
+	f.proto.SetBaseCapDirected(f.handles[j], c)
+	for j2, nw := range w.nets {
+		if nw != nil {
+			w.val[j2] -= nw.SetBaseCapDirectedIncremental(f.handles[j], c, f.src, f.dst)
+		}
+	}
+}
+
 // snapshotNets sums the worker's networks' cumulative solver stats.
 func snapshotNets(w *frontierWorker) netStats {
 	var s netStats
@@ -402,6 +445,13 @@ func snapshotNets(w *frontierWorker) netStats {
 // walk's share when a delta worker was inherited warm.
 func foldWorker(st *Stats, w *frontierWorker, base netStats) {
 	st.add(&w.stats)
+	foldNets(st, w, base)
+}
+
+// foldNets folds the solver work of w's networks past base into st: the
+// flow repairs a warm state pays when a mutation patches it without a
+// walk.
+func foldNets(st *Stats, w *frontierWorker, base netStats) {
 	now := snapshotNets(w)
 	st.MaxFlowCalls += now.calls - base.calls
 	st.AugmentUnits += now.units - base.units

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -40,8 +41,8 @@ func randomMutation(rng *rand.Rand, g *graph.Graph, d int) graph.Mutation {
 }
 
 // assertPlansEqual checks every observable of the two plans bit for bit:
-// decomposition, realization arrays, kernel tables, budget charges and
-// evaluation results.
+// decomposition, rows, kernel tables, budget charges and evaluation
+// results.
 func assertPlansEqual(t *testing.T, seed int64, step int, delta, cold *Plan, chargedDelta, chargedCold uint64) {
 	t.Helper()
 	if !equalCuts(delta.Cut, cold.Cut) {
@@ -54,51 +55,29 @@ func assertPlansEqual(t *testing.T, seed int64, step int, delta, cold *Plan, cha
 		t.Fatalf("seed %d step %d: |𝒟| delta %d, cold %d", seed, step, len(delta.Assignments), len(cold.Assignments))
 	}
 	for side := 0; side < 2; side++ {
-		if len(delta.sideLinks[side]) != len(cold.sideLinks[side]) {
-			t.Fatalf("seed %d step %d: side %d has %d links delta, %d cold", seed, step, side, len(delta.sideLinks[side]), len(cold.sideLinks[side]))
+		if !slices.Equal(delta.sideLinks[side], cold.sideLinks[side]) {
+			t.Fatalf("seed %d step %d: side %d links: delta %v, cold %v", seed, step, side, delta.sideLinks[side], cold.sideLinks[side])
 		}
-		for i := range delta.sideLinks[side] {
-			if delta.sideLinks[side][i] != cold.sideLinks[side][i] {
-				t.Fatalf("seed %d step %d: side %d link %d: delta %d, cold %d", seed, step, side, i, delta.sideLinks[side][i], cold.sideLinks[side][i])
-			}
+		r, c := delta.rows[side], cold.rows[side]
+		if len(r) != len(c) {
+			t.Fatalf("seed %d step %d: side %d has %d row words delta, %d cold", seed, step, side, len(r), len(c))
 		}
-		a, b := delta.realized[side], cold.realized[side]
-		if len(a) != len(b) {
-			t.Fatalf("seed %d step %d: side %d has %d configs delta, %d cold", seed, step, side, len(a), len(b))
-		}
-		for m := range a {
-			if a[m] != b[m] {
-				t.Fatalf("seed %d step %d: side %d mask %#x: delta realized %#x, cold %#x", seed, step, side, m, a[m], b[m])
-			}
-		}
-		// A removal leaves the rows unset for the next walk to load;
-		// otherwise they are the cold walk's, word for word.
-		if r := delta.rows[side]; r != nil {
-			if len(r) != len(cold.rows[side]) {
-				t.Fatalf("seed %d step %d: side %d has %d row words delta, %d cold", seed, step, side, len(r), len(cold.rows[side]))
-			}
-			for i := range r {
-				if r[i] != cold.rows[side][i] {
-					t.Fatalf("seed %d step %d: side %d row word %d: delta %#x, cold %#x", seed, step, side, i, r[i], cold.rows[side][i])
-				}
+		for i := range r {
+			if r[i] != c[i] {
+				t.Fatalf("seed %d step %d: side %d row word %d: delta %#x, cold %#x", seed, step, side, i, r[i], c[i])
 			}
 		}
 	}
 	if (delta.kern == nil) != (cold.kern == nil) {
 		t.Fatalf("seed %d step %d: delta kernel %v, cold kernel %v", seed, step, delta.kern != nil, cold.kern != nil)
 	}
-	if delta.kern != nil {
-		if delta.kern.lanes != cold.kern.lanes || len(delta.kern.termX) != len(cold.kern.termX) {
-			t.Fatalf("seed %d step %d: kernel shape diverges", seed, step)
+	if dk, ck := delta.kern, cold.kern; dk != nil {
+		if dk.lanes != ck.lanes || !slices.Equal(dk.cfgs, ck.cfgs) || !slices.Equal(dk.termX, ck.termX) || !slices.Equal(dk.termSign, ck.termSign) {
+			t.Fatalf("seed %d step %d: kernel term tables diverge", seed, step)
 		}
 		for side := 0; side < 2; side++ {
-			if len(delta.kern.segRM[side]) != len(cold.kern.segRM[side]) {
-				t.Fatalf("seed %d step %d: side %d segment count delta %d, cold %d", seed, step, side, len(delta.kern.segRM[side]), len(cold.kern.segRM[side]))
-			}
-			for i := range delta.kern.segRM[side] {
-				if delta.kern.segRM[side][i] != cold.kern.segRM[side][i] || delta.kern.perm[side][i] != cold.kern.perm[side][i] {
-					t.Fatalf("seed %d step %d: side %d kernel segment tables diverge at %d", seed, step, side, i)
-				}
+			if !slices.Equal(dk.perm[side], ck.perm[side]) || !slices.Equal(dk.segRM[side], ck.segRM[side]) || !slices.Equal(dk.segOff[side], ck.segOff[side]) {
+				t.Fatalf("seed %d step %d: side %d kernel segment tables diverge", seed, step, side)
 			}
 		}
 	}
@@ -130,7 +109,7 @@ func assertPlansEqual(t *testing.T, seed int64, step int, delta, cold *Plan, cha
 // planted-bottleneck corpus: across ≥50 graphs, a chained stream of
 // random single-link mutations (capacity change, add, remove) through
 // MutatePlan must be bit-identical to a cold compile after every step —
-// same realization arrays, same kernel tables, same Eval results, and
+// same rows, same kernel tables, same Eval results, and
 // the identical number of configurations charged to the anytime budget.
 // The chain continues from the *delta* plan, so reuse errors compound
 // instead of washing out.
@@ -198,7 +177,7 @@ func TestMutateEquivalenceCorpus(t *testing.T) {
 
 // TestMutateReusesParentWork pins the point of the delta path: on a
 // two-sided instance, a capacity change on one side must transfer the
-// other side's array pointer-for-pointer, inherit decisions from the
+// other side's rows pointer-for-pointer, inherit decisions from the
 // parent, and pay strictly fewer max-flow calls than the cold compile.
 func TestMutateReusesParentWork(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -225,7 +204,7 @@ func TestMutateReusesParentWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &delta.realized[1][0] != &parent.realized[1][0] {
+	if !sameWords(delta.rows[1], parent.rows[1]) {
 		t.Fatal("untouched side was rebuilt, not shared")
 	}
 	if delta.Stats.DeltaReused == 0 {
@@ -340,8 +319,8 @@ func TestMutateBudgetInterruptsWalk(t *testing.T) {
 // TestMutateWordEdges runs each delta walk with its walked bit inside a
 // row word (a link below 6: half of every word is walked) and across
 // words (link 6 and up: whole words), on the 13-link side of
-// wideSideInstance, and holds each step to its cold compile: arrays,
-// rows, kernel tables, Eval bits and charges. An added link is the
+// wideSideInstance, and holds each step to its cold compile: rows,
+// kernel tables, Eval bits and charges. An added link is the
 // side's new top bit, so the add inside a word runs on a 3-link side,
 // as does a shrink whose closure needs the walked word's own twin bits.
 // The walk's work counters are exact, so they are pinned too: a change
@@ -404,7 +383,7 @@ func TestMutateWordEdges(t *testing.T) {
 			if delta.Stats.DeltaReused == 0 {
 				t.Fatal("the mutation fell back to a cold compile")
 			}
-			if sameWords(delta.realized[0], parent.realized[0]) {
+			if sameWords(delta.rows[0], parent.rows[0]) {
 				t.Fatal("fixture: the mutation changes no configuration of the walked side")
 			}
 			assertPlansEqual(t, 0, 0, delta, cold, ctlDelta.Configs(), ctlCold.Configs())
@@ -416,9 +395,83 @@ func TestMutateWordEdges(t *testing.T) {
 	}
 }
 
+// offPathInstance has a four-link source side s → a → x, s → x and
+// b → x, one cut link x → y and a one-link sink side, with d = 2. No
+// link enters b, so b → x lies on no path from s to x until a link s → b
+// is added.
+func offPathInstance() (*graph.Graph, graph.Demand, []graph.EdgeID, graph.EdgeID) {
+	b := graph.NewBuilder()
+	b.AddNodes(6) // s = 0, a = 1, b = 2, x = 3, y = 4, t = 5
+	b.AddEdge(0, 1, 2, 0.1)
+	b.AddEdge(1, 3, 2, 0.2)
+	b.AddEdge(0, 3, 1, 0.3)
+	off := b.AddEdge(2, 3, 1, 0.1)
+	cut := b.AddEdge(3, 4, 2, 0.05)
+	b.AddEdge(4, 5, 2, 0.1)
+	return b.MustBuild(), graph.Demand{S: 0, T: 5, D: 2}, []graph.EdgeID{cut}, off
+}
+
+// TestMutateOffPathFlap: a capacity change on a link that lies on no
+// path between the side's terminals changes no row, so the child shares
+// the parent's rows and kernel pointer-wise, pays no max-flow call and
+// charges what a cold compile charges. The warm solver state must still
+// take the new capacity: the chain first warms the side with an on-path
+// flap, flaps the off-path link, adds the link that puts it on a path
+// (a walk on the warm state) and flaps it again, and every step must
+// equal its cold compile.
+func TestMutateOffPathFlap(t *testing.T) {
+	g, dem, cut, off := offPathInstance()
+	opt := Options{Bottleneck: cut}
+	parent, err := Compile(g, dem, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parent.SideEdges != [2]int{4, 1} || len(parent.Assignments) != 1 {
+		t.Fatalf("fixture: sides %v, |𝒟| = %d; want [4 1] and 1", parent.SideEdges, len(parent.Assignments))
+	}
+	steps := []graph.Mutation{
+		{Kind: graph.MutateCapacity, Link: 0, Cap: 1},
+		{Kind: graph.MutateCapacity, Link: off, Cap: 2},
+		{Kind: graph.MutateAdd, U: 0, V: 2, Cap: 2, PFail: 0.2},
+		{Kind: graph.MutateCapacity, Link: off, Cap: 1},
+	}
+	for step, mut := range steps {
+		g2, remap, err := mut.Apply(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctlDelta := anytime.New(context.Background(), anytime.Budget{})
+		opt.Ctl = ctlDelta
+		delta, err := MutatePlan(parent, g, g2, dem, mut, remap, opt)
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		ctlCold := anytime.New(context.Background(), anytime.Budget{})
+		opt.Ctl = ctlCold
+		cold, err := Compile(g2, dem, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if delta.Stats.DeltaReused == 0 {
+			t.Fatalf("step %d: the mutation fell back to a cold compile", step)
+		}
+		assertPlansEqual(t, 0, step, delta, cold, ctlDelta.Configs(), ctlCold.Configs())
+		shared := sameWords(delta.rows[0], parent.rows[0]) && delta.kern == parent.kern
+		calls := delta.Stats.MaxFlowCalls + delta.Stats.FrontierMaxFlowCalls
+		if step == 1 {
+			if !shared || calls != 0 {
+				t.Fatalf("off-path flap: rows and kernel shared %v, %d max-flow calls; want shared and 0", shared, calls)
+			}
+		} else if shared || calls == 0 {
+			t.Fatalf("step %d: rows and kernel shared %v, %d max-flow calls; want a walk", step, shared, calls)
+		}
+		g, parent = g2, delta
+	}
+}
+
 // TestMutateConcurrentParent: a compiled plan is immutable, so many
-// goroutines may mutate one parent at once. They read its arrays and
-// rows together, each copies them before its first write, and one of
+// goroutines may mutate one parent at once. They read its rows
+// together, each copies them before its first write, and one of
 // them inherits the warm solver state; every result must still equal
 // its cold compile.
 func TestMutateConcurrentParent(t *testing.T) {

@@ -155,17 +155,17 @@ func ReliabilityExact(g *graph.Graph, dem graph.Demand, opt Options) (*big.Rat, 
 	}
 
 	var stats Stats
-	sideS, _, err := buildSide(bt.Gs, bt.Gs.NodeOf[dem.S], bt.XS, true, ds, &opt, &stats, 0)
+	rowsS, err := buildSide(bt.Gs, bt.Gs.NodeOf[dem.S], bt.XS, true, ds, &opt, &stats, 0)
 	if err != nil {
 		return nil, err
 	}
-	sideT, _, err := buildSide(bt.Gt, bt.Gt.NodeOf[dem.T], bt.YT, false, ds, &opt, &stats, 1)
+	rowsT, err := buildSide(bt.Gt, bt.Gt.NodeOf[dem.T], bt.YT, false, ds, &opt, &stats, 1)
 	if err != nil {
 		return nil, err
 	}
 
-	qs := aggregateRat(sideS, bt.Gs, ds.Len())
-	qt := aggregateRat(sideT, bt.Gt, ds.Len())
+	qs := aggregateRat(realizedArray(rowsS, ds.Len(), bt.Gs.G.NumEdges()), bt.Gs, ds.Len())
+	qt := aggregateRat(realizedArray(rowsT, ds.Len(), bt.Gt.G.NumEdges()), bt.Gt, ds.Len())
 	supersetZetaRat(qs, ds.Len())
 	supersetZetaRat(qt, ds.Len())
 

@@ -241,33 +241,24 @@ type wordWalk struct {
 // certificate lists. Its rows start from rows, the parent side's rows:
 // rows of a side one link narrower fill the low half of each row (an
 // added link is the top bit), rows of the same shape are shared, and nil
-// rows are loaded from realized, or left zero when realized is nil too.
-// Capacities are clamped at d: a live link of capacity ≥ d alone meets
-// any assignment's need, so the bound decides the same pairs, and the
-// table stays sized by d even where a link carries capacity 10^9.
-func newWordWalk(f *frontierCtx, w *frontierWorker, rows, realized []uint64) *wordWalk {
+// rows leave them zero. Capacities are clamped at d: a live link of
+// capacity ≥ d alone meets any assignment's need, so the bound decides
+// the same pairs, and the table stays sized by d even where a link
+// carries capacity 10^9.
+func newWordWalk(f *frontierCtx, w *frontierWorker, rows []uint64) *wordWalk {
 	m, n := len(f.handles), f.ds.Len()
 	ww := &wordWalk{
 		f:         f,
 		w:         w,
 		certs:     newCertTable(n),
 		n:         n,
-		words:     1,
-		valid:     ^uint64(0),
 		callsMark: w.stats.FrontierMaxFlowCalls,
 	}
+	ww.words, ww.valid = rowShape(m)
 	low := min(m, lowLinks)
-	if m > lowLinks {
-		ww.words = 1 << uint(m-lowLinks)
-	} else if m < lowLinks {
-		ww.valid = uint64(1)<<(uint64(1)<<uint(m)) - 1
-	}
 	switch size := uint64(n) * ww.words; {
 	case rows == nil:
 		ww.rows = make([]uint64, size)
-		if realized != nil {
-			ww.load(realized)
-		}
 	case uint64(len(rows)) < size:
 		ww.rows = make([]uint64, size)
 		half := uint64(len(rows) / n)
@@ -317,21 +308,6 @@ func (ww *wordWalk) own() {
 	}
 }
 
-// load fills the rows from a per-mask realization array, one row word
-// at a time.
-func (ww *wordWalk) load(realized []uint64) {
-	for wi := uint64(0); wi < ww.words; wi++ {
-		blk := realized[wi<<lowLinks : min(uint64(len(realized)), (wi+1)<<lowLinks)]
-		for j := 0; j < ww.n; j++ {
-			var r uint64
-			for i, v := range blk {
-				r |= (v >> (uint(j) & 63) & 1) << (uint(i) & 63)
-			}
-			ww.rows[uint64(j)*ww.words+wi] = r
-		}
-	}
-}
-
 // closure returns the masks of row word wi that have a realized proper
 // submask: the OR of the words that drop one high link (earlier, hence
 // final) and of the final in-word bits keep, closed upward in the word.
@@ -341,14 +317,6 @@ func closure(row []uint64, wi, keep uint64) uint64 {
 		c |= row[wi&^(hb&-hb)]
 	}
 	return upClose(c)
-}
-
-// flip toggles assignment j's bit in the per-mask words of word
-// realized[0:64] wherever diff is set.
-func flip(realized []uint64, diff uint64, j int) {
-	for ; diff != 0; diff &= diff - 1 {
-		realized[bits.TrailingZeros64(diff)] ^= 1 << uint(j)
-	}
 }
 
 // charge books cfgs (assignment, configuration) pairs and passes the
@@ -366,16 +334,16 @@ func (ww *wordWalk) charge(cfgs uint64, final bool) bool {
 	return ok
 }
 
-// walkFrontier runs the ascending word walk for one side, filling
-// realized, and returns the rows. A panic on the walk (a TestHook fault,
-// say) comes back as the error; interruption is left for the caller to
-// detect via opt.Ctl.Stopped.
-func walkFrontier(f *frontierCtx, realized []uint64, st *Stats) (rows []uint64, err error) {
+// walkFrontier runs the ascending word walk for one side and returns the
+// rows. A panic on the walk (a TestHook fault, say) comes back as the
+// error; interruption is left for the caller to detect via
+// opt.Ctl.Stopped.
+func walkFrontier(f *frontierCtx, st *Stats) (rows []uint64, err error) {
 	w := newFrontierWorker(f.ds.Len())
 	defer foldWorker(st, w, netStats{})
 	cur := uint64(0)
 	defer anytime.RecoverInto(&err, f.opt.Ctl, "core frontier walk", &cur)
-	ww := newWordWalk(f, w, nil, nil)
+	ww := newWordWalk(f, w, nil)
 	per := uint64(bits.OnesCount64(ww.valid))
 	for wi := uint64(0); wi < ww.words; wi++ {
 		base := wi << lowLinks
@@ -386,7 +354,6 @@ func walkFrontier(f *frontierCtx, realized []uint64, st *Stats) (rows []uint64, 
 				f.opt.TestHook(cur)
 			}
 		}
-		out := realized[base : base+per]
 		for j := 0; j < ww.n; j++ {
 			row := ww.row(j)
 			c := closure(row, wi, 0) & ww.valid
@@ -395,7 +362,6 @@ func walkFrontier(f *frontierCtx, realized []uint64, st *Stats) (rows []uint64, 
 				c |= ww.decideWord(j, wi, open, false)
 			}
 			row[wi] = c
-			flip(out, c, j)
 		}
 		if !ww.charge(uint64(ww.n)*per, false) {
 			return nil, nil

@@ -93,7 +93,7 @@ func checkFrontierEquivalent(t *testing.T, seed int64, g *graph.Graph, dem graph
 	}
 	ref := denseRealized(plan, dem)
 	for side := 0; side < 2; side++ {
-		a, b := plan.realized[side], ref[side]
+		a, b := planRealized(plan, side), ref[side]
 		if len(a) != len(b) {
 			t.Fatalf("seed %d: side %d has %d configs, dense walk %d", seed, side, len(a), len(b))
 		}
@@ -325,7 +325,7 @@ func TestFrontierTinySides(t *testing.T) {
 			}
 			ref := denseRealized(fr, tc.dem)
 			for side := 0; side < 2; side++ {
-				a, b := fr.realized[side], ref[side]
+				a, b := planRealized(fr, side), ref[side]
 				if len(a) != len(b) {
 					t.Fatalf("side %d: frontier %d configs, dense walk %d", side, len(a), len(b))
 				}

@@ -19,9 +19,9 @@ import (
 //     subset.Submasks callbacks) becomes a term table — one (x, sign)
 //     entry per inclusion–exclusion term, grouped per configuration — so
 //     evaluation is a linear pass over two contiguous slices;
-//   - the realized arrays are grouped by realized-assignment mask into a
-//     permutation plus segment table, so aggregateInto's random scatter
-//     q[rm] += probs[mask] becomes independent segmented sums.
+//   - each side's rows are grouped by realized-assignment mask into a
+//     permutation plus segment table, so the scalar evaluator's random
+//     scatter q[rm] += probs[mask] becomes independent segmented sums.
 //
 // Two kernels consume the tables. The one-lane kernel evaluates a single
 // scenario over plain float64 arrays. The eight-lane kernel carries eight
@@ -53,7 +53,7 @@ const (
 	// maxKernelSideEdges bounds 2^m per side so the permutation fits
 	// uint32 and the lane-block probs arrays stay addressable.
 	maxKernelSideEdges = 26
-	// maxKernelAssignments bounds the dense lattice 2^n (counting-sort
+	// maxKernelAssignments bounds the dense lattice 2^n (the grouping
 	// counters and the zeta-path q arrays).
 	maxKernelAssignments = 20
 	// maxKernelCutLinks bounds the class table 2^k (one entry per
@@ -154,7 +154,7 @@ func (p *Plan) compileKernel() *evalKernel {
 	}
 
 	for side := 0; side < 2; side++ {
-		k.perm[side], k.segRM[side], k.segOff[side] = groupByRealized(p.realized[side], n)
+		k.perm[side], k.segRM[side], k.segOff[side] = groupRows(p.rows[side], n, p.SideEdges[side])
 	}
 
 	k.lanes = p.kernelLanes()
@@ -167,11 +167,11 @@ func (p *Plan) compileKernel() *evalKernel {
 // sharing every table the mutation cannot touch: the term tables depend
 // only on the bottleneck classes (identical by construction — the delta
 // path shares the parent's assignment set), and the untouched side's
-// segment grouping depends only on its realization array, which
-// transferred verbatim. Only the touched side's grouping is recomputed,
-// from the same groupByRealized a cold compile runs, so the resulting
-// kernel is entry-for-entry identical to a cold build's. Like
-// compileKernel it only reads the plans; plan.go installs the result.
+// segment grouping depends only on its rows, which transferred verbatim.
+// Only the touched side's grouping is recomputed, by the same groupRows a
+// cold compile runs, so the resulting kernel is entry-for-entry identical
+// to a cold build's. Like compileKernel it only reads the plans; plan.go
+// installs the result.
 func (p *Plan) compileKernelDelta(parent *Plan, touched int) *evalKernel {
 	pk := parent.kern
 	n := p.ds.Len()
@@ -183,7 +183,7 @@ func (p *Plan) compileKernelDelta(parent *Plan, touched int) *evalKernel {
 	}
 	other := 1 - touched
 	k.perm[other], k.segRM[other], k.segOff[other] = pk.perm[other], pk.segRM[other], pk.segOff[other]
-	k.perm[touched], k.segRM[touched], k.segOff[touched] = groupByRealized(p.realized[touched], n)
+	k.perm[touched], k.segRM[touched], k.segOff[touched] = groupRows(p.rows[touched], n, p.SideEdges[touched])
 	mKernelBuilds.Inc()
 	return k
 }
@@ -198,40 +198,6 @@ func (p *Plan) kernelLanes() int {
 		return 1
 	}
 	return batchLanes
-}
-
-// groupByRealized counting-sorts the configuration masks of one side by
-// realized-assignment mask: a permutation grouped by rm (ascending mask
-// within each group, so segment sums add in the scalar scatter's order)
-// plus the distinct rm values and their segment offsets.
-func groupByRealized(realized []uint64, n int) (perm []uint32, segRM []uint32, segOff []int32) {
-	counts := make([]int32, uint64(1)<<uint(n))
-	nseg := 0
-	for _, rm := range realized {
-		if counts[rm] == 0 {
-			nseg++
-		}
-		counts[rm]++
-	}
-	segRM = make([]uint32, 0, nseg)
-	segOff = make([]int32, 0, nseg+1)
-	total := int32(0)
-	for rm, c := range counts {
-		if c == 0 {
-			continue
-		}
-		counts[rm] = total // reuse as the group's running write position
-		segRM = append(segRM, uint32(rm))
-		segOff = append(segOff, total)
-		total += c
-	}
-	segOff = append(segOff, total)
-	perm = make([]uint32, len(realized))
-	for mask, rm := range realized {
-		perm[counts[rm]] = uint32(mask)
-		counts[rm]++
-	}
-	return perm, segRM, segOff
 }
 
 func popcount(x uint64) int {

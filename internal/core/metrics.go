@@ -20,6 +20,7 @@ var (
 	mPrunedClosure     = stats.Default.Counter("core.pruned_closure")
 	mFrontierMaxFlow   = stats.Default.Counter("core.frontier_max_flow_calls")
 	mKernelBuilds      = stats.Default.Counter("core.kernel_builds")
+	mKernelBuildTime   = stats.Default.Timer("core.kernel_build_time")
 	mKernelTermEntries = stats.Default.Counter("core.kernel_terms")
 	mEvalBlocks        = stats.Default.Counter("core.eval_blocks")
 	mKernelLanes       = stats.Default.Counter("core.kernel_lanes")

@@ -58,8 +58,10 @@ func accumulateLiteral(plan *Plan, pfail []float64) float64 {
 		return 0
 	}
 	var probs [2][]float64
+	var realized [2][]uint64
 	for side := range probs {
-		probs[side] = make([]float64, len(plan.realized[side]))
+		realized[side] = planRealized(plan, side)
+		probs[side] = make([]float64, len(realized[side]))
 		fillConfigProbs(probs[side], pfail, plan.sideLinks[side])
 	}
 	pCut := make([]float64, len(plan.Cut))
@@ -77,7 +79,7 @@ func accumulateLiteral(plan *Plan, pfail []float64) float64 {
 			if x == 0 {
 				return
 			}
-			pX := scanSuperset(plan.realized[0], probs[0], x) * scanSuperset(plan.realized[1], probs[1], x)
+			pX := scanSuperset(realized[0], probs[0], x) * scanSuperset(realized[1], probs[1], x)
 			r -= subset.PopcountParity(x) * pX
 		})
 		total += conf.Prob(pCut, e) * r

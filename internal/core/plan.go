@@ -18,12 +18,13 @@ import (
 
 // Plan is the compiled form of a bottleneck decomposition: everything the
 // solver learns about the *structure* of the instance — the cut, the
-// assignment family 𝒟, and the two side realization arrays — none of
-// which depends on the links' failure probabilities. Building a Plan costs
-// the full O(2^{α|E|}·|V|·|E|) side-array phase (every max-flow call the
-// solver will ever make); evaluating it against a probability vector costs
-// only the aggregation O(2^{|E_s|} + 2^{|E_t|} + |𝒟|·2^{|𝒟|} + 3^k) —
-// microseconds, no max-flow calls. One compile therefore answers every
+// assignment family 𝒟, and the two sides' realization arrays, kept as the
+// walk's bit rows and grouped into the evaluate kernel's segment tables —
+// none of which depends on the links' failure probabilities. Building a
+// Plan costs the full O(2^{α|E|}·|V|·|E|) side-array phase (every max-flow
+// call the solver will ever make); evaluating it against a probability
+// vector costs only the aggregation O(2^{|E_s|} + 2^{|E_t|} + |𝒟|·2^{|𝒟|}
+// + 3^k) — microseconds, no max-flow calls. One compile therefore answers every
 // probability-only question about the instance: sweep curves, Birnbaum
 // conditionals (p(e) ∈ {0,1}), shared-risk scenarios, what-if re-weightings.
 //
@@ -47,14 +48,12 @@ type Plan struct {
 	bt        *mincut.Bottleneck // the validated split, retained so MutatePlan can patch it
 	ds        *assign.Set
 	classes   []uint64          // ds.Classify(), indexed by bottleneck subset mask
-	realized  [2][]uint64       // per side: realized-assignment mask per configuration
 	sideLinks [2][]graph.EdgeID // per side: side link index → original link ID
 	basePFail []float64         // the graph's probabilities at compile time
 	scratch   sync.Pool         // *evalScratch (EvalScalar)
 
-	// rows holds each side's realized array as the walks keep it: one
-	// bit row per assignment (frontier.go). It is nil where a removal
-	// remapped the array; the next walk of that side loads it.
+	// rows holds each side's realization array, the only encoding a plan
+	// keeps: one bit row per assignment (frontier.go, rows.go).
 	rows [2][]uint64
 
 	// kern is the data-oriented evaluate phase (kernel.go): term tables
@@ -112,16 +111,17 @@ func Compile(g *graph.Graph, dem graph.Demand, opt Options) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	observeCutSearch(opt.Ctl, time.Since(searchStart))
+	observePhase(opt.Ctl, mCutSearchTime, "cut-search", time.Since(searchStart))
 	return CompileWithBottleneck(g, dem, bt, opt)
 }
 
-// observeCutSearch charges one cut search, or the split that stands in
-// for it, to the registry and the tracer's cut-search phase.
-func observeCutSearch(ctl *anytime.Ctl, d time.Duration) {
-	mCutSearchTime.Observe(d)
+// observePhase charges one timed compile layer — the cut search (or the
+// split that stands in for it) or the kernel build — to its registry
+// timer and to the tracer's phase of that name.
+func observePhase(ctl *anytime.Ctl, t *stats.Timer, phase string, d time.Duration) {
+	t.Observe(d)
 	if tr := ctl.Tracer(); tr != nil {
-		tr.OnPhase(stats.PhaseEvent{Engine: "core", Phase: "cut-search", Duration: d})
+		tr.OnPhase(stats.PhaseEvent{Engine: "core", Phase: phase, Duration: d})
 	}
 }
 
@@ -168,11 +168,11 @@ func CompileWithBottleneck(g *graph.Graph, dem graph.Demand, bt *mincut.Bottlene
 	p.classes = classes
 
 	// §III-C: per-side realization arrays (all the max-flow work).
-	p.realized[0], p.rows[0], err = buildSide(bt.Gs, bt.Gs.NodeOf[dem.S], bt.XS, true, ds, &opt, &p.Stats, 0)
+	p.rows[0], err = buildSide(bt.Gs, bt.Gs.NodeOf[dem.S], bt.XS, true, ds, &opt, &p.Stats, 0)
 	if err != nil {
 		return nil, err
 	}
-	p.realized[1], p.rows[1], err = buildSide(bt.Gt, bt.Gt.NodeOf[dem.T], bt.YT, false, ds, &opt, &p.Stats, 1)
+	p.rows[1], err = buildSide(bt.Gt, bt.Gt.NodeOf[dem.T], bt.YT, false, ds, &opt, &p.Stats, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +189,10 @@ func CompileWithBottleneck(g *graph.Graph, dem graph.Demand, bt *mincut.Bottlene
 	mPrunedClosure.Add(p.Stats.PrunedClosure)
 	mFrontierMaxFlow.Add(p.Stats.FrontierMaxFlowCalls)
 
-	p.installEvalPhase(p.compileKernel())
+	kernStart := time.Now()
+	k := p.compileKernel()
+	observePhase(opt.Ctl, mKernelBuildTime, "kernel", time.Since(kernStart))
+	p.installEvalPhase(k)
 	return p, nil
 }
 
@@ -223,7 +226,7 @@ func (p *Plan) installEvalPhase(k *evalKernel) {
 // mutation mut. gOld is the graph parent was compiled from; g and remap
 // must be mut.Apply's results on it. When the mutation leaves the
 // bottleneck cut (and its capacities) intact, the unaffected side's
-// realization array and the shared assignment structures transfer from
+// rows and the shared assignment structures transfer from
 // the parent and only the touched side is patched — re-running max-flow
 // solely for configurations whose feasibility the mutation could change;
 // otherwise it falls back to a cold compile on the re-searched cut. The
@@ -264,7 +267,7 @@ func MutatePlan(parent *Plan, gOld, g *graph.Graph, dem graph.Demand, mut graph.
 func mutateCompile(parent *Plan, gOld, g *graph.Graph, dem graph.Demand, mut graph.Mutation, remap []graph.EdgeID, opt Options) (*Plan, error) {
 	if parent.ds == nil {
 		// Trivial parent (its cut cannot carry the demand): there are no
-		// realization arrays to transfer, so compile the child cold.
+		// rows to transfer, so compile the child cold.
 		mDeltaFallbacks.Inc()
 		return Compile(g, dem, opt)
 	}
@@ -296,7 +299,7 @@ func mutateCompile(parent *Plan, gOld, g *graph.Graph, dem graph.Demand, mut gra
 	if err != nil {
 		return nil, err
 	}
-	observeCutSearch(opt.Ctl, time.Since(searchStart))
+	observePhase(opt.Ctl, mCutSearchTime, "cut-search", time.Since(searchStart))
 
 	cut2, ok := remapCutLinks(parent.Cut, remap)
 	if !ok || !equalCuts(bt.Cut, cut2) {
@@ -307,7 +310,7 @@ func mutateCompile(parent *Plan, gOld, g *graph.Graph, dem graph.Demand, mut gra
 	}
 	if mut.Kind == graph.MutateCapacity && cutContains(parent.Cut, mut.Link) {
 		// Same cut, new capacity on it: the assignment family 𝒟 changes
-		// wholesale and both sides' arrays are indexed by it.
+		// wholesale and both sides' rows are indexed by it.
 		mDeltaFallbacks.Inc()
 		return CompileWithBottleneck(g, dem, bt, opt)
 	}
@@ -367,8 +370,7 @@ func mutateCompile(parent *Plan, gOld, g *graph.Graph, dem graph.Demand, mut gra
 	}
 	if mut.Kind == graph.MutateCapacity {
 		// A capacity change keeps every failure probability; share the
-		// parent's vector (immutable after compile, like the realization
-		// arrays below).
+		// parent's vector (immutable after compile, like the rows below).
 		p.basePFail = parent.basePFail
 	} else {
 		p.basePFail = make([]float64, g.NumEdges())
@@ -380,10 +382,9 @@ func mutateCompile(parent *Plan, gOld, g *graph.Graph, dem graph.Demand, mut gra
 	p.classes = parent.classes
 	n := uint64(ds.Len())
 
-	// Untouched side: the realization array transfers verbatim (shared —
-	// both plans are immutable after compile). Charge exactly what a cold
-	// enumeration of this side would have charged.
-	p.realized[other] = parent.realized[other]
+	// Untouched side: the rows transfer verbatim (shared — both plans are
+	// immutable after compile). Charge exactly what a cold enumeration of
+	// this side would have charged.
 	p.rows[other] = parent.rows[other]
 	p.sideLinks[other] = sideNew[other]
 	otherConfigs := uint64(1) << uint(len(sideNew[other]))
@@ -394,89 +395,75 @@ func mutateCompile(parent *Plan, gOld, g *graph.Graph, dem graph.Demand, mut gra
 		return nil, fmt.Errorf("core: delta compile interrupted: %w", opt.Ctl.Err())
 	}
 
-	// Touched side: patch against the parent array.
+	// Touched side: patch against the parent's rows.
 	buildStart := time.Now()
 	mTouched := len(touchedNew)
 	configs := uint64(1) << uint(mTouched)
 	p.Stats.SideConfigs[touched] = configs
-	var out, rows []uint64
+	sub, terminal, ends, toSink := bt.Gs, bt.Gs.NodeOf[dem.S], bt.XS, true
+	if touched == 1 {
+		sub, terminal, ends, toSink = bt.Gt, bt.Gt.NodeOf[dem.T], bt.YT, false
+	}
+	var prevSub *graph.Subgraph
+	if pb := parent.bt; pb != nil {
+		prevSub = [2]*graph.Subgraph{pb.Gs, pb.Gt}[touched]
+	}
+	var rows []uint64
 	var st *deltaSideState
 	switch {
 	case mut.Kind == graph.MutateRemove:
-		// Pure index extraction — no solving for the array itself: charge
+		// Pure bit extraction — no solving for the rows themselves: charge
 		// the child side's full enumeration up front, then fill.
 		if !opt.Ctl.Charge(configs*n, 0) {
 			return nil, fmt.Errorf("core: delta compile interrupted: %w", opt.Ctl.Err())
 		}
-		out = make([]uint64, configs)
-		extractRemovedInto(out, parent.realized[touched], j)
+		rows = removeRows(parent.rows[touched], int(n), mTouched+1, j)
 		p.Stats.RealizationChecks += int64(configs * n)
 		p.Stats.DeltaReused += int64(configs * n)
 		// The warm solver state survives the removal when the dead arc can
 		// be retired in place; the incremental flow repairs it pays for are
 		// the state's only max-flow work, counted against this plan.
 		if st0 := parent.deltaState[touched].Swap(nil); st0 != nil {
-			var prevSub *graph.Subgraph
-			if pb := parent.bt; pb != nil {
-				prevSub = [2]*graph.Subgraph{pb.Gs, pb.Gt}[touched]
-			}
-			sub := [2]*graph.Subgraph{bt.Gs, bt.Gt}[touched]
 			netBase := snapshotNets(st0.w)
 			if adoptRemovedLink(st0, sub, prevSub, j) {
-				now := snapshotNets(st0.w)
-				p.Stats.MaxFlowCalls += now.calls - netBase.calls
-				p.Stats.AugmentUnits += now.units - netBase.units
-				p.Stats.AugmentingPaths += now.paths - netBase.paths
 				st = st0
 			}
+			foldNets(&p.Stats, st0.w, netBase)
 		}
-	case mut.Kind == graph.MutateCapacity && mut.Cap == gOld.Edge(mut.Link).Cap:
-		// The capacity did not actually change: the whole side transfers,
-		// shared pointer-wise like the untouched side, charged in bulk.
+	case mut.Kind == graph.MutateCapacity && (mut.Cap == gOld.Edge(mut.Link).Cap || offPath(sub, terminal, ends, toSink, j)):
+		// The capacity did not change, or the link carries no flow under
+		// either capacity: the whole side transfers, shared pointer-wise
+		// like the untouched side, charged in bulk. The warm solver state
+		// still takes the new capacity, since a later add can put the link
+		// on a path.
 		if !opt.Ctl.Charge(configs*n, 0) {
 			return nil, fmt.Errorf("core: delta compile interrupted: %w", opt.Ctl.Err())
 		}
-		out, rows = parent.realized[touched], parent.rows[touched]
+		rows = parent.rows[touched]
 		p.Stats.RealizationChecks += int64(configs * n)
 		p.Stats.DeltaReused += int64(configs * n)
-		st = parent.deltaState[touched].Swap(nil)
-	default:
-		var sub *graph.Subgraph
-		var terminal graph.NodeID
-		var ends []graph.NodeID
-		var toSink bool
-		if touched == 0 {
-			sub, terminal, ends, toSink = bt.Gs, bt.Gs.NodeOf[dem.S], bt.XS, true
-		} else {
-			sub, terminal, ends, toSink = bt.Gt, bt.Gt.NodeOf[dem.T], bt.YT, false
+		if st = parent.deltaState[touched].Swap(nil); st != nil {
+			netBase := snapshotNets(st.w)
+			st.setCapacity(j, mut.Cap)
+			foldNets(&p.Stats, st.w, netBase)
 		}
+	default:
 		// The parent's warm solver state (if no other successor claimed it)
 		// carries over: a capacity mutation leaves the side's topology
 		// intact, and an added link is appended to the warm networks as the
 		// side's new top bit. When neither applies the state is rebuilt and
 		// seeds the new chain.
 		st = parent.deltaState[touched].Swap(nil)
-		if st != nil && mut.Kind == graph.MutateAdd {
-			var prevSub *graph.Subgraph
-			if pb := parent.bt; pb != nil {
-				prevSub = [2]*graph.Subgraph{pb.Gs, pb.Gt}[touched]
-			}
-			if !adoptAddedLink(st, sub, prevSub) {
-				st = nil
-			}
+		if st != nil && mut.Kind == graph.MutateAdd && !adoptAddedLink(st, sub, prevSub) {
+			st = nil
 		}
-		var f *frontierCtx
-		var w *frontierWorker
 		if st != nil {
-			f, w = st.f, st.w
-			f.opt = &opt
-			w.stats = Stats{}
+			st.f.opt = &opt
+			st.w.stats = Stats{}
 		} else {
-			f = newFrontierCtx(sub, terminal, ends, toSink, ds, &opt)
-			w = newFrontierWorker(ds.Len())
-			st = &deltaSideState{f: f, w: w}
+			st = &deltaSideState{f: newFrontierCtx(sub, terminal, ends, toSink, ds, &opt), w: newFrontierWorker(ds.Len())}
 		}
-		netBase := snapshotNets(w)
+		netBase := snapshotNets(st.w)
 		mode := deltaAdd
 		walkBit := mTouched - 1
 		if mut.Kind == graph.MutateCapacity {
@@ -486,33 +473,19 @@ func mutateCompile(parent *Plan, gOld, g *graph.Graph, dem graph.Demand, mut gra
 			} else {
 				mode = deltaShrink
 			}
-			// The walk copies-on-first-write: a toggle that changes no
-			// word hands the parent's array and rows back untouched, and
-			// the common no-op case copies neither.
-			out = parent.realized[touched]
-			// Patch the new capacity into the solver context: the
-			// prototype (future clones), the capacity-bound vector and
-			// every warm network, repairing the flows it carries.
-			f.caps[j] = mut.Cap
-			f.proto.SetBaseCapDirected(f.handles[j], mut.Cap)
-			for j2, nw := range w.nets {
-				if nw != nil {
-					w.val[j2] -= nw.SetBaseCapDirectedIncremental(f.handles[j], mut.Cap, f.src, f.dst)
-				}
-			}
-		} else {
-			out = make([]uint64, configs)
-			copy(out[:configs/2], parent.realized[touched])
+			st.setCapacity(j, mut.Cap)
 		}
 		var wErr error
 		func() {
 			cur := uint64(0)
 			defer anytime.RecoverInto(&wErr, opt.Ctl, "core delta walk", &cur)
-			ww := newWordWalk(f, w, parent.rows[touched], out)
-			out, _ = walkDelta(ww, out, walkBit, mode, &cur)
+			// The walk copies-on-first-write: a toggle that changes no
+			// word hands the parent's rows back untouched.
+			ww := newWordWalk(st.f, st.w, parent.rows[touched])
+			walkDelta(ww, walkBit, mode, &cur)
 			rows = ww.rows
 		}()
-		foldWorker(&p.Stats, w, netBase)
+		foldWorker(&p.Stats, st.w, netBase)
 		if wErr != nil {
 			return nil, wErr
 		}
@@ -520,7 +493,6 @@ func mutateCompile(parent *Plan, gOld, g *graph.Graph, dem graph.Demand, mut gra
 	if opt.Ctl.Stopped() {
 		return nil, fmt.Errorf("core: delta compile interrupted: %w", opt.Ctl.Err())
 	}
-	p.realized[touched] = out
 	p.rows[touched] = rows
 	p.sideLinks[touched] = touchedNew
 	p.deltaState[touched].Store(st)
@@ -545,13 +517,18 @@ func mutateCompile(parent *Plan, gOld, g *graph.Graph, dem graph.Demand, mut gra
 	mFrontierMaxFlow.Add(p.Stats.FrontierMaxFlowCalls)
 	mDeltaReused.Add(p.Stats.DeltaReused)
 
-	// When the walk proved the touched side unchanged, both realization
-	// arrays are the parent's own and the kernel tables — functions of the
-	// arrays and the shared assignment structure only — transfer wholesale.
-	if sameWords(p.realized[touched], parent.realized[touched]) {
+	// When the touched side kept the parent's rows and width, both sides
+	// are the parent's own and the kernel tables — functions of the rows
+	// and the shared assignment structure only — transfer wholesale. (An
+	// add to a side of under six links can keep the parent's row words:
+	// the new top bit's half of each word stays clear.)
+	if p.SideEdges == parent.SideEdges && sameWords(p.rows[touched], parent.rows[touched]) {
 		p.installEvalPhase(parent.kern)
 	} else {
-		p.installEvalPhase(p.compileKernelDelta(parent, touched))
+		kernStart := time.Now()
+		k := p.compileKernelDelta(parent, touched)
+		observePhase(opt.Ctl, mKernelBuildTime, "kernel", time.Since(kernStart))
+		p.installEvalPhase(k)
 	}
 	return p, nil
 }
@@ -685,15 +662,17 @@ func fillConfigProbs(probs []float64, pfail []float64, links []graph.EdgeID) {
 }
 
 // aggregateInto sums configuration probabilities by realized-assignment
-// mask: q[rm] = P(side configuration realizes exactly the set rm).
+// mask: q[rm] = P(side configuration realizes exactly the set rm), in
+// ascending mask order, each mask's set read from the side's n rows.
 //
 //flowrelvet:hotpath per-evaluation scatter over the side array (reviewed: PR-8)
-func aggregateInto(q []float64, realized []uint64, probs []float64) {
+func aggregateInto(q []float64, rows []uint64, n int, probs []float64) {
 	for i := range q {
 		q[i] = 0
 	}
-	for mask, rm := range realized {
-		q[rm] += probs[mask]
+	words := uint64(len(rows) / n)
+	for mask := range probs {
+		q[realizedAt(rows, words, n, uint64(mask))] += probs[mask]
 	}
 }
 
@@ -705,8 +684,8 @@ func aggregateInto(q []float64, realized []uint64, probs []float64) {
 func (p *Plan) evalZeta(sc *evalScratch) float64 {
 	n := p.ds.Len()
 	qs, qt := sc.q[0], sc.q[1]
-	aggregateInto(qs, p.realized[0], sc.probs[0])
-	aggregateInto(qt, p.realized[1], sc.probs[1])
+	aggregateInto(qs, p.rows[0], n, sc.probs[0])
+	aggregateInto(qt, p.rows[1], n, sc.probs[1])
 	subset.SupersetZeta(qs, n)
 	subset.SupersetZeta(qt, n)
 

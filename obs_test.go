@@ -133,6 +133,40 @@ func (f *funcTracer) OnPhase(e stats.PhaseEvent) { f.onPhase(e) }
 func (f *funcTracer) OnConfig(stats.ConfigEvent) {}
 func (f *funcTracer) OnRung(e stats.RungEvent)   { f.onRung(e) }
 
+// TestKernelBuildTimer checks that a cold compile and a delta compile
+// each observe core.kernel_build_time once, and that a traced compile
+// reports the build as its kernel phase.
+func TestKernelBuildTimer(t *testing.T) {
+	withPlanCacheShards(t, planCacheShards, defaultPlanCacheCapacity)
+	g, dem := obsTestGraph(t)
+	before := StatsSnapshot()
+	p, err := CompilePlan(g, dem, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Mutate(Mutation{Kind: MutateAdd, U: 1, V: 2, Cap: 1, PFail: 0.1}); err != nil {
+		t.Fatal(err)
+	}
+	d := StatsSnapshot().Delta(before)
+	if got := d.Timers["core.kernel_build_time"].Count; got != 2 {
+		t.Fatalf("core.kernel_build_time observed %d times over a compile and a mutation, want 2", got)
+	}
+	ResetPlanCache()
+	rep, err := Compute(g, dem, Config{CollectStats: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kernel := 0
+	for _, ph := range rep.Stats.Phases {
+		if ph.Engine == "core" && ph.Phase == "kernel" {
+			kernel++
+		}
+	}
+	if kernel != 1 {
+		t.Fatalf("a traced cold compile reported %d kernel phases, want 1: %+v", kernel, rep.Stats.Phases)
+	}
+}
+
 // TestCutSearchTimer checks that a cold compile and a delta compile each
 // observe core.cut_search_time once.
 func TestCutSearchTimer(t *testing.T) {

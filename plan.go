@@ -11,11 +11,13 @@ import (
 
 // Plan is a compiled reliability plan: the structure phase of the
 // bottleneck decomposition — cut search, assignment enumeration and the
-// O(2^{α|E|}·|V|·|E|) side realization arrays — run once and frozen. Every
-// subsequent probability-only question (a sweep point, a conditional with
-// some links forced up or down, a shared-risk scenario) is a Plan.Eval:
-// pure aggregation, no max-flow calls, microseconds instead of a fresh
-// solve. Plans are immutable and safe for concurrent use.
+// O(2^{α|E|}·|V|·|E|) side realization arrays, kept as one bit row per
+// assignment and grouped into the evaluate kernel's tables — run once and
+// frozen. Every subsequent probability-only question (a sweep point, a
+// conditional with some links forced up or down, a shared-risk scenario)
+// is a Plan.Eval: pure aggregation, no max-flow calls, microseconds
+// instead of a fresh solve. Plans are immutable and safe for concurrent
+// use.
 //
 // Probabilities are evaluate-phase inputs; topology and capacities are
 // compile-phase inputs. Changing a link's failure probability needs only a

@@ -31,8 +31,10 @@ import (
 // on distinct shards never touch the same lock.
 
 // defaultPlanCacheCapacity is the default number of compiled plans kept.
-// A plan's dominant memory is its two realization arrays
-// (8·2^{|E_side|} bytes each, ≤ 8 MiB at the default MaxSideEdges 20).
+// A plan's dominant memory is per side mask: 4 bytes of kernel
+// permutation and |𝒟|/8 bytes of rows (≤ 6.5 MiB a side at the default
+// MaxSideEdges 20), plus 64 bytes in each pooled eight-lane scratch,
+// which a plan whose scratch would pass 32 MiB does without.
 const defaultPlanCacheCapacity = 64
 
 // planCacheShards is the default stripe count (a power of two; the shard
