@@ -219,16 +219,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (retErr error) {
 		}
 		f, _ := r.Float64()
 		fmt.Fprintf(stdout, "reliability = %.12f  (exact rational %s, %v)\n", f, r.RatString(), time.Since(start).Round(time.Millisecond))
-	case "chain":
-		res, err := flowrel.ChainReliability(g, dem, nil, flowrel.ChainOptions{Parallelism: *parFlag})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "reliability = %.12f  (engine chain, %v)\n", res.Reliability, time.Since(start).Round(time.Millisecond))
-		fmt.Fprintf(stdout, "chain: %d cuts %v, segment links %v\n", len(res.Cuts), res.Cuts, res.SegmentEdges)
-		if *statsFlag {
-			fmt.Fprintf(stdout, "stats: %d max-flow calls\n", res.MaxFlowCalls)
-		}
 	default:
 		var eng flowrel.Engine
 		switch *engineFlag {
@@ -240,6 +230,8 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (retErr error) {
 			eng = flowrel.EngineNaive
 		case "factoring":
 			eng = flowrel.EngineFactoring
+		case "chain":
+			eng = flowrel.EngineChain
 		default:
 			return fmt.Errorf("unknown engine %q", *engineFlag)
 		}

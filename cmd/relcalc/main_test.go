@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -36,7 +37,7 @@ func runCLI(t *testing.T, args []string, stdin string) (string, error) {
 
 func TestEnginesProduceSameValue(t *testing.T) {
 	want := "reliability = 0.882648049500"
-	for _, eng := range []string{"auto", "core", "naive", "factoring"} {
+	for _, eng := range []string{"auto", "core", "naive", "factoring", "chain"} {
 		out, err := runCLI(t, []string{"-engine", eng}, figure2Text)
 		if err != nil {
 			t.Fatalf("%s: %v", eng, err)
@@ -74,6 +75,19 @@ func TestChainEngine(t *testing.T) {
 	}
 	if !strings.Contains(out, "engine chain") || !strings.Contains(out, "max-flow calls") {
 		t.Fatalf("output: %s", out)
+	}
+}
+
+// -engine chain runs under the same budget flags as the other exact
+// engines: a configuration budget too small for its segment walks stops
+// it with the interruption error instead of an answer.
+func TestChainEngineHonoursBudget(t *testing.T) {
+	out, err := runCLI(t, []string{"-engine", "chain", "-max-configs", "2"}, figure2Text)
+	if !errors.Is(err, flowrel.ErrInterrupted) {
+		t.Fatalf("err = %v, want one wrapping ErrInterrupted; output: %s", err, out)
+	}
+	if strings.Contains(out, "reliability") {
+		t.Fatalf("interrupted chain printed an answer: %s", out)
 	}
 }
 

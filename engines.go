@@ -69,17 +69,19 @@ type Config struct {
 	Bottleneck []EdgeID
 	// MaxBottleneck bounds the bottleneck search (default 3).
 	MaxBottleneck int
-	// MaxSideEdges bounds the enumerated component size for EngineCore
-	// (default 20; time and memory grow as 2^{MaxSideEdges}). EngineCore
-	// refuses sides past 26 links whatever this says.
+	// MaxSideEdges bounds the enumerated component size for EngineCore,
+	// and each segment for EngineChain (default 20; time and memory grow
+	// as 2^{MaxSideEdges}). Both refuse past 26 links whatever this says.
 	MaxSideEdges int
 	// MaxAssignmentSet bounds the assignment family size |𝒟| for
-	// EngineCore (default 20, also EngineCore's ceiling).
+	// EngineCore, and each cut's for EngineChain (default 20 and 16; 20
+	// is both engines' ceiling).
 	MaxAssignmentSet int
 	// Parallelism is the worker count for the enumeration engines
-	// (≤ 0 = GOMAXPROCS): naive enumeration, factoring and chain
-	// segments, and the default for a compiled Plan's batch evaluation.
-	// EngineCore builds its side arrays on the calling goroutine.
+	// (≤ 0 = GOMAXPROCS): naive enumeration and factoring, and the
+	// default for a compiled Plan's batch evaluation. EngineCore and
+	// EngineChain build their side arrays and segments on the calling
+	// goroutine.
 	Parallelism int
 	// Reduce applies the exact reliability-preserving reductions before
 	// solving. The reliability is unchanged; any link IDs in the Report
@@ -348,7 +350,6 @@ func computeChain(g *Graph, dem Demand, cfg Config, ctl *anytime.Ctl) (Report, e
 	res, err := chain.Solve(g, dem, cuts, chain.Options{
 		MaxSegmentEdges:  cfg.MaxSideEdges,
 		MaxAssignmentSet: cfg.MaxAssignmentSet,
-		Parallelism:      cfg.Parallelism,
 		Ctl:              ctl,
 	})
 	if err != nil {

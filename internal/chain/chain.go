@@ -12,10 +12,14 @@
 // over the distribution of the *reachable assignment set*: the random
 // subset S ⊆ 𝒟ᵢ of assignments the prefix can deliver across cut Cᵢ.
 // Each segment maps S through its (random) realization relation; each cut
-// intersects S with its supported class. The two end segments are each
-// the side of one cut, so core.BuildSide — the §III-C side walk of the
-// single-cut algorithm — builds them; the middle segments are enumerated
-// configuration by configuration.
+// intersects S with its supported class. Whether a segment configuration
+// carries an incoming assignment a to an outgoing one b is monotone in
+// the configuration, as a side's realization is, so core's word walk —
+// the §III-C side walk of the single-cut algorithm — builds every
+// segment's relation (core.BuildSegment); the end segments take the
+// terminal's one assignment (d) at s or t. What is left here is the DP:
+// one loop that folds each segment's per-configuration relation into the
+// law of S and applies the next cut.
 //
 // With r cuts the work is Σᵢ 2^{|Eᵢ|} segment enumerations instead of the
 // single-cut 2^{α|E|} — on a chain of b equal blocks, 2^{|E|/b}·b instead
@@ -27,6 +31,7 @@ package chain
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"time"
 
@@ -36,7 +41,6 @@ import (
 	"flowrel/internal/conf"
 	"flowrel/internal/core"
 	"flowrel/internal/graph"
-	"flowrel/internal/maxflow"
 	"flowrel/internal/mincut"
 	"flowrel/internal/stats"
 )
@@ -49,31 +53,15 @@ var (
 	mMaxFlowCalls = stats.Default.Counter("chain.max_flow_calls")
 )
 
-// tracePhase fires one segment-transition phase event when a tracer is
-// installed on the controller (the nil fast path is a single branch).
-func tracePhase(ctl *anytime.Ctl, phase string, start time.Time, calls int64) {
-	if tr := ctl.Tracer(); tr != nil {
-		tr.OnPhase(stats.PhaseEvent{
-			Engine:       "chain",
-			Phase:        phase,
-			Duration:     time.Since(start),
-			MaxFlowCalls: calls,
-		})
-	}
-}
-
 // Options tunes the solver.
 type Options struct {
-	// MaxSegmentEdges bounds each segment's enumerated link count
-	// (default 20).
+	// MaxSegmentEdges bounds each segment's link count (default 20). It
+	// can only lower core's bound of 26 (core.MaxSideLinks).
 	MaxSegmentEdges int
 	// MaxAssignmentSet bounds each cut's |𝒟ᵢ| (default 16; the DP state
-	// space is 2^{|𝒟ᵢ|}).
+	// space is 2^{|𝒟ᵢ|}). It can only lower core's bound of 20
+	// (core.MaxAssignments).
 	MaxAssignmentSet int
-	// Parallelism is the worker count for the middle segments'
-	// enumeration (≤ 0 = GOMAXPROCS); the end segments run core's
-	// single-threaded frontier walk.
-	Parallelism int
 	// Ctl optionally makes the run cancellable. The assignment-set DP is
 	// all-or-nothing (a half-built segment distribution certifies no mass),
 	// so an interrupted run returns an error wrapping
@@ -81,7 +69,8 @@ type Options struct {
 	// certify partial answers.
 	Ctl *anytime.Ctl
 	// TestHook, when set, is called with each segment configuration mask
-	// before its feasibility checks. Tests use it to inject faults.
+	// before the feasibility checks of its word of 64 masks. Tests use it
+	// to inject faults.
 	TestHook func(configIndex uint64)
 }
 
@@ -105,11 +94,11 @@ type Result struct {
 
 // chainStructure is the validated decomposition.
 type chainStructure struct {
-	cuts  [][]graph.EdgeID  // ordered source→sink
-	segs  []*graph.Subgraph // r+1 segments, source side first
-	heads [][]graph.NodeID  // per cut i: head endpoints inside segs[i+1]
-	tails [][]graph.NodeID  // per cut i: tail endpoints inside segs[i]
-	ds    []*assign.Set     // per cut i: assignment family 𝒟_{i+1}... index aligned with cuts
+	cuts [][]graph.EdgeID  // ordered source→sink
+	segs []*graph.Subgraph // r+1 segments, source side first
+	// in and out are segment i's entry and exit nodes: the heads of cut
+	// i−1 and the tails of cut i, or the terminal at either end.
+	in, out [][]graph.NodeID
 }
 
 // Solve computes the exact reliability using the given cut sequence. The
@@ -130,18 +119,14 @@ func Solve(g *graph.Graph, dem graph.Demand, cuts [][]graph.EdgeID, opt Options)
 
 	res := Result{Cuts: st.cuts}
 	for _, seg := range st.segs {
-		m := seg.G.NumEdges()
-		if m > opt.MaxSegmentEdges {
-			return Result{}, fmt.Errorf("chain: segment has %d links, exceeding MaxSegmentEdges %d", m, opt.MaxSegmentEdges)
-		}
-		if m > conf.MaxEnumEdges {
-			return Result{}, &conf.ErrTooManyEdges{N: m, Where: "chain segment"}
-		}
-		res.SegmentEdges = append(res.SegmentEdges, m)
+		res.SegmentEdges = append(res.SegmentEdges, seg.G.NumEdges())
 	}
-
-	// Assignment families per cut.
-	for ci, cut := range st.cuts {
+	// fams[i] is the assignment family entering segment i: the single
+	// assignment (d) at s, then 𝒟ᵢ behind cut i, and (d) at t last.
+	whole := []assign.Assignment{{dem.D}}
+	fams := [][]assign.Assignment{whole}
+	var sets []*assign.Set
+	for _, cut := range st.cuts {
 		caps := make([]int, len(cut))
 		for j, eid := range cut {
 			caps[j] = g.Edge(eid).Cap
@@ -150,56 +135,80 @@ func Solve(g *graph.Graph, dem graph.Demand, cuts [][]graph.EdgeID, opt Options)
 		if err != nil {
 			return Result{}, err
 		}
+		res.AssignSizes = append(res.AssignSizes, ds.Len())
 		if ds.Len() == 0 {
-			res.AssignSizes = append(res.AssignSizes, 0)
 			return res, nil // some cut cannot carry d at all: reliability 0
 		}
-		if ds.Len() > opt.MaxAssignmentSet {
-			return Result{}, fmt.Errorf("chain: |𝒟_%d| = %d exceeds MaxAssignmentSet %d", ci+1, ds.Len(), opt.MaxAssignmentSet)
-		}
-		st.ds = append(st.ds, ds)
-		res.AssignSizes = append(res.AssignSizes, ds.Len())
+		sets = append(sets, ds)
+		fams = append(fams, ds.Assignments)
+	}
+	fams = append(fams, whole)
+	if err := checkLimits(st, sets, fams, opt); err != nil {
+		return Result{}, err
 	}
 
-	// dist[m] = P(reachable assignment set across the current cut = m).
-	// Start with segment 0 feeding cut 1.
+	// law[S] is the probability that exactly the assignments S of fams[i]
+	// reach segment i; at s that is its one assignment, surely.
 	solveStart := time.Now()
-	segStart := solveStart
-	first, calls, err := endLaw(st.segs[0], st.segs[0].NodeOf[dem.S], st.tails[0], true, st.ds[0], opt)
-	if err != nil {
-		return Result{}, err
-	}
-	res.MaxFlowCalls += calls
-	tracePhase(opt.Ctl, "segment/0", segStart, calls)
-	dist := applyCut(first, g, st.cuts[0], st.ds[0])
-
-	// Middle segments.
-	for i := 1; i < len(st.cuts); i++ {
-		segStart = time.Now()
-		next, calls, err := middleTransition(dist, st.segs[i],
-			st.heads[i-1], st.ds[i-1], st.tails[i], st.ds[i], dem.D, opt)
-		if err != nil {
-			return Result{}, err
+	law := []float64{0, 1}
+	for i, seg := range st.segs {
+		start := time.Now()
+		var cs core.Stats
+		rel, err := core.BuildSegment(seg, st.in[i], fams[i], st.out[i], fams[i+1], dem.D,
+			&core.Options{Ctl: opt.Ctl, TestHook: opt.TestHook}, &cs)
+		if err == nil {
+			law, err = fold(law, rel, len(fams[i+1]), seg, opt.Ctl)
 		}
-		res.MaxFlowCalls += calls
-		tracePhase(opt.Ctl, fmt.Sprintf("segment/%d", i), segStart, calls)
-		dist = applyCut(next, g, st.cuts[i], st.ds[i])
+		if err != nil {
+			return Result{}, fmt.Errorf("chain: segment/%d: %w", i, err)
+		}
+		res.MaxFlowCalls += cs.MaxFlowCalls
+		if tr := opt.Ctl.Tracer(); tr != nil {
+			tr.OnPhase(stats.PhaseEvent{Engine: "chain", Phase: fmt.Sprintf("segment/%d", i),
+				Duration: time.Since(start), MaxFlowCalls: cs.MaxFlowCalls})
+		}
+		if i < len(st.cuts) {
+			law = applyCut(law, g, st.cuts[i], sets[i])
+		}
+		if !slices.ContainsFunc(law[1:], func(p float64) bool { return p != 0 }) {
+			break // nothing reaches the next segment: the answer is 0
+		}
 	}
-
-	// Final segment absorbs.
-	last := len(st.cuts)
-	segStart = time.Now()
-	r, calls, err := sinkProbability(dist, st.segs[last], st.segs[last].NodeOf[dem.T], st.heads[last-1], st.ds[last-1], opt)
-	if err != nil {
-		return Result{}, err
-	}
-	res.MaxFlowCalls += calls
-	tracePhase(opt.Ctl, fmt.Sprintf("segment/%d", last), segStart, calls)
-	res.Reliability = r
+	// After the sink segment law[1] is the probability that t receives d;
+	// after an early stop it is 0.
+	res.Reliability = law[1]
 	mSolves.Inc()
 	mSolveTime.Observe(time.Since(solveStart))
 	mMaxFlowCalls.Add(res.MaxFlowCalls)
 	return res, nil
+}
+
+// checkLimits refuses, before any walk, a chain whose DP lattices or
+// segment rows would outgrow core's bounds, with an error wrapping
+// core.ErrLimit: each |𝒟ᵢ| (a lattice of 2^{|𝒟ᵢ|} floats), each cut's
+// class table of 2^{|Cᵢ|} entries, each segment's links, and each
+// segment's rows, one per pair of fams[i] × fams[i+1], of 2^{|Eᵢ|} bits.
+func checkLimits(st *chainStructure, sets []*assign.Set, fams [][]assign.Assignment, opt Options) error {
+	lim := min(opt.MaxAssignmentSet, core.MaxAssignments)
+	for i, ds := range sets {
+		if n := ds.Len(); n > lim {
+			return fmt.Errorf("%w: |𝒟_%d| = %d exceeds %s (reduce d·k)", core.ErrLimit, i+1, n, core.LimitName("MaxAssignmentSet", lim, core.MaxAssignments))
+		}
+		if ds.K > core.MaxCutLinks {
+			return fmt.Errorf("%w: cut %d has %d links, exceeding the evaluate kernel's %d", core.ErrLimit, i+1, ds.K, core.MaxCutLinks)
+		}
+	}
+	lim = min(opt.MaxSegmentEdges, core.MaxSideLinks)
+	for i, seg := range st.segs {
+		m := seg.G.NumEdges()
+		if m > lim {
+			return fmt.Errorf("%w: segment/%d has %d links, exceeding %s", core.ErrLimit, i, m, core.LimitName("MaxSegmentEdges", lim, core.MaxSideLinks))
+		}
+		if pairs := len(fams[i]) * len(fams[i+1]); uint64(pairs)<<uint(m) > core.MaxRowBits {
+			return fmt.Errorf("%w: segment/%d's %d assignment pairs over %d links exceed the %d row bits a plan side may hold", core.ErrLimit, i, pairs, m, core.MaxRowBits)
+		}
+	}
+	return nil
 }
 
 // validateChain checks the cuts are disjoint minimal s–t cuts whose joint
@@ -310,9 +319,11 @@ func validateChain(g *graph.Graph, dem graph.Demand, cuts [][]graph.EdgeID) (*ch
 				return nil, fmt.Errorf("chain: cut link %d endpoints not in adjacent segments", eid)
 			}
 		}
-		st.tails = append(st.tails, tails)
-		st.heads = append(st.heads, heads)
+		st.out = append(st.out, tails)
+		st.in = append(st.in, heads)
 	}
+	st.in = append([][]graph.NodeID{{st.segs[0].NodeOf[dem.S]}}, st.in...)
+	st.out = append(st.out, []graph.NodeID{st.segs[len(cuts)].NodeOf[dem.T]})
 	return st, nil
 }
 
@@ -341,149 +352,47 @@ func applyCut(dist []float64, g *graph.Graph, cut []graph.EdgeID, ds *assign.Set
 	return out
 }
 
-// sinkProbability folds the last segment: the answer is the probability
-// that the final segment absorbs at least one assignment in the reachable
-// set.
-func sinkProbability(dist []float64, seg *graph.Subgraph, t graph.NodeID, heads []graph.NodeID, ds *assign.Set, opt Options) (float64, int64, error) {
-	agg, calls, err := endLaw(seg, t, heads, false, ds, opt)
-	if err != nil {
-		return 0, 0, err
+// fold pushes law through one segment: configuration mask, as likely as
+// its links' states, carries each reachable set S of in-assignments to
+// the out-assignments its members reach, ∪_{a∈S} rel.Relation(a, mask),
+// of which there are nOut. The empty set reaches nothing further, so its
+// mass stays behind. The configurations are summed in ascending order.
+func fold(law []float64, rel core.Segment, nOut int, seg *graph.Subgraph, ctl *anytime.Ctl) ([]float64, error) {
+	type state struct {
+		set uint64
+		p   float64
 	}
-	total := 0.0
-	for m, p := range dist {
-		if p == 0 {
-			continue
+	var live []state
+	var in uint64 // the in-assignments some live set holds
+	for set := 1; set < len(law); set++ {
+		if law[set] != 0 {
+			live = append(live, state{uint64(set), law[set]})
+			in |= uint64(set)
 		}
-		for rm, q := range agg {
-			if q != 0 && uint64(m)&uint64(rm) != 0 {
-				total += p * q
-			}
-		}
-	}
-	return total, calls, nil
-}
-
-// endLaw builds an end segment's §III-C side array with core's frontier
-// walk — an end segment is the side of its one cut — and returns the law
-// of its realized-assignment mask: law[r] is the probability that the
-// segment realizes exactly the assignments r of ds. toSink=true for the
-// source segment (route from the terminal to the cut tails), false for
-// the sink segment (from the cut heads to the terminal). The law is
-// summed densely in mask order, reading each mask's realized set from the
-// walk's rows (a map would sum in random iteration order and break
-// bit-determinism).
-func endLaw(seg *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, toSink bool, ds *assign.Set, opt Options) ([]float64, int64, error) {
-	var st core.Stats
-	rows, err := core.BuildSide(seg, terminal, ends, toSink, ds, &core.Options{Ctl: opt.Ctl, TestHook: opt.TestHook}, &st)
-	if err != nil {
-		return nil, 0, err
 	}
 	pFail := make([]float64, seg.G.NumEdges())
 	for i, e := range seg.G.Edges() {
 		pFail[i] = e.PFail
 	}
-	return core.SideLaw(rows, ds.Len(), pFail), st.MaxFlowCalls, nil
-}
-
-// middleTransition pushes the reachable-set distribution through one
-// middle segment: for each failure configuration of the segment, the
-// relation rows[a] ⊆ 𝒟_{next} (which outgoing assignments the
-// configuration can forward incoming assignment a to) maps every
-// reachable set S to its image ∪_{a∈S} rows[a].
-func middleTransition(dist []float64, seg *graph.Subgraph, heads []graph.NodeID, dsIn *assign.Set, tails []graph.NodeID, dsOut *assign.Set, d int, opt Options) ([]float64, int64, error) {
-	m := seg.G.NumEdges()
-	// Collect the active states once; the image computation is linear in
-	// the number of live masks rather than 2^{|𝒟in|}.
-	type state struct {
-		mask uint64
-		p    float64
-	}
-	var active []state
-	for mk, p := range dist {
-		if p != 0 {
-			active = append(active, state{uint64(mk), p})
-		}
-	}
-	out := make([]float64, uint64(1)<<uint(dsOut.Len()))
-	if len(active) == 0 {
-		return out, 0, nil
-	}
-
-	proto := maxflow.New(seg.G.NumNodes())
-	superIn := proto.AddNode()
-	superOut := proto.AddNode()
-	handles := make([]maxflow.Handle, m)
-	for _, e := range seg.G.Edges() {
-		handles[e.ID] = proto.AddDirected(int32(e.U), int32(e.V), e.Cap)
-	}
-	inArcs := make([]maxflow.Handle, len(heads))
-	for i, y := range heads {
-		inArcs[i] = proto.AddDirected(superIn, int32(y), 0)
-	}
-	outArcs := make([]maxflow.Handle, len(tails))
-	for i, x := range tails {
-		outArcs[i] = proto.AddDirected(int32(x), superOut, 0)
-	}
-
-	pFail := make([]float64, m)
-	for i, e := range seg.G.Edges() {
-		pFail[i] = e.PFail
-	}
 	table := conf.NewTable(pFail)
-
-	chunks := conf.SplitEnum(m)
-	partial := make([][]float64, len(chunks))
-	callsPer := make([]int64, len(chunks))
-	err := anytime.Run(opt.Ctl, opt.Parallelism, len(chunks), "chain middle-segment worker", func(ci int, cur *uint64) {
-		nw := proto.Clone()
-		local := make([]float64, len(out))
-		rows := make([]uint64, dsIn.Len())
-		anytime.Walk(opt.Ctl, opt.TestHook, nw, handles, chunks[ci][0], chunks[ci][1], cur, func(mask uint64) {
-			// The relation of this configuration.
-			for ai, a := range dsIn.Assignments {
-				rows[ai] = 0
-				for i := range inArcs {
-					nw.SetBaseCapDirected(inArcs[i], a[i])
-				}
-				for bi, b := range dsOut.Assignments {
-					for i := range outArcs {
-						nw.SetBaseCapDirected(outArcs[i], b[i])
-					}
-					if nw.MaxFlow(superIn, superOut, d) >= d {
-						rows[ai] |= 1 << uint(bi)
-					}
-				}
+	reach := make([]uint64, bits.Len64(in)) // per in-assignment, under mask
+	out := make([]float64, uint64(1)<<uint(nOut))
+	for mask := uint64(0); mask < uint64(1)<<uint(len(pFail)); mask++ {
+		if ctl.Stopped() {
+			return nil, fmt.Errorf("fold interrupted: %w", ctl.Err())
+		}
+		for r := in; r != 0; r &= r - 1 {
+			a := bits.TrailingZeros64(r)
+			reach[a] = rel.Relation(a, mask)
+		}
+		pc := table.Prob(mask)
+		for _, s := range live {
+			var img uint64
+			for r := s.set; r != 0; r &= r - 1 {
+				img |= reach[bits.TrailingZeros64(r)]
 			}
-			pc := table.Prob(mask)
-			for _, st := range active {
-				var img uint64
-				rem := st.mask
-				for rem != 0 {
-					ai := bits.TrailingZeros64(rem)
-					rem &= rem - 1
-					img |= rows[ai]
-				}
-				local[img] += st.p * pc
-			}
-		})
-		partial[ci] = local
-		callsPer[ci] = nw.Stats.MaxFlowCalls
-	})
-
-	var calls int64
-	for ci := range callsPer {
-		calls += callsPer[ci]
-	}
-	if err != nil {
-		return nil, calls, err
-	}
-	if opt.Ctl.Stopped() {
-		return nil, calls, fmt.Errorf("chain: segment enumeration interrupted: %w", opt.Ctl.Err())
-	}
-	for ci := range partial {
-		for mk, p := range partial[ci] {
-			out[mk] += p
+			out[img] += s.p * pc
 		}
 	}
-	return out, calls, nil
+	return out, nil
 }

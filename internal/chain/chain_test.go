@@ -1,16 +1,20 @@
 package chain
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"flowrel/internal/anytime"
 	"flowrel/internal/core"
 	"flowrel/internal/graph"
 	"flowrel/internal/overlay"
 	"flowrel/internal/reliability"
-	"flowrel/internal/testutil"
 )
 
 // threeBlocks builds s-block → cut1 → middle block → cut2 → t-block, with
@@ -284,27 +288,6 @@ func TestQuickChainMatchesNaive(t *testing.T) {
 	}
 }
 
-// Property: the chain solver is deterministic across parallelism levels
-// (per-chunk partial sums are reduced in chunk order).
-func TestQuickChainParallelDeterministic(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g, dem, cuts := chainGraph(rng, 3, 3, 1+rng.Intn(2), 1+rng.Intn(2))
-		a, err := Solve(g, dem, cuts, Options{Parallelism: 1, MaxAssignmentSet: 62})
-		if err != nil {
-			return true
-		}
-		b, err := Solve(g, dem, cuts, Options{Parallelism: 8, MaxAssignmentSet: 62})
-		if err != nil {
-			return false
-		}
-		return testutil.AlmostEqual(a.Reliability, b.Reliability, 0)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: Find+Solve agrees with naive whenever it succeeds.
 func TestQuickFindMatchesNaive(t *testing.T) {
 	f := func(seed int64) bool {
@@ -329,5 +312,144 @@ func TestQuickFindMatchesNaive(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// bundleChain builds s ⇉ x₁ → y₁ ⇉ x₂ → … → y_r ⇉ t: segment i is
+// links[i] parallel unit links, and each cut k parallel links of
+// capacity c from the segment before it to the one after, all of them
+// leaving one node and entering one, so every cut's endpoints repeat.
+func bundleChain(links []int, k, c, d int) (*graph.Graph, graph.Demand, [][]graph.EdgeID) {
+	b := graph.NewBuilder()
+	first := b.AddNodes(2 * len(links))
+	var cuts [][]graph.EdgeID
+	for i, l := range links {
+		u := first + graph.NodeID(2*i)
+		if i > 0 {
+			var cut []graph.EdgeID
+			for j := 0; j < k; j++ {
+				cut = append(cut, b.AddEdge(u-1, u, c, 0.05))
+			}
+			cuts = append(cuts, cut)
+		}
+		for j := 0; j < l; j++ {
+			b.AddEdge(u, u+1, 1, 0.2)
+		}
+	}
+	return b.MustBuild(), graph.Demand{S: first, T: first + graph.NodeID(2*len(links)-1), D: d}, cuts
+}
+
+// chargedWork is what a complete Solve charges: one configuration per
+// (pair, configuration) of every segment, where segment i pairs the
+// assignments entering it with those leaving it (the terminal's one
+// assignment at either end).
+func chargedWork(res Result) uint64 {
+	sizes := append(append([]int{1}, res.AssignSizes...), 1)
+	var total uint64
+	for i, m := range res.SegmentEdges {
+		total += uint64(sizes[i]*sizes[i+1]) << uint(m)
+	}
+	return total
+}
+
+// Every segment charges its walk as a plan side does: a complete Solve
+// charges its Ctl exactly one configuration per (pair, configuration)
+// and exactly the max-flow calls it reports. A configuration budget
+// stops it within one charge batch, with an error wrapping
+// anytime.ErrInterrupted.
+func TestSolveChargesMatchWork(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	checked := 0
+	for trial := 0; trial < 80; trial++ {
+		g, dem, cuts := chainGraph(rng, 2+rng.Intn(3), 3, 1+rng.Intn(2), 1+rng.Intn(2))
+		ctl := anytime.New(context.Background(), anytime.Budget{})
+		res, err := Solve(g, dem, cuts, Options{Ctl: ctl})
+		if err != nil || res.Reliability == 0 {
+			continue // a patched cut lost minimality, or the walk stopped early
+		}
+		if want := chargedWork(res); ctl.Configs() != want {
+			t.Fatalf("trial %d: charged %d configurations, want %d", trial, ctl.Configs(), want)
+		}
+		if ctl.MaxFlowCalls() != res.MaxFlowCalls {
+			t.Fatalf("trial %d: charged %d max-flow calls, Result reports %d", trial, ctl.MaxFlowCalls(), res.MaxFlowCalls)
+		}
+		checked++
+	}
+	if checked < 20 {
+		t.Fatalf("only %d of 80 random chains solved", checked)
+	}
+
+	// Three cuts of two capacity-2 links at d = 2: 3 assignments each, 9
+	// pairs in the middle segments, whose 10 links take 9·2^10
+	// configurations each.
+	g, dem, cuts := bundleChain([]int{3, 10, 10, 3}, 2, 2, 2)
+	full, err := Solve(g, dem, cuts, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := chargedWork(full)
+	const maxPairs = 9
+	for _, budget := range []uint64{1, 5000, total / 2, total - 1} {
+		ctl := anytime.New(context.Background(), anytime.Budget{MaxConfigs: budget})
+		_, err := Solve(g, dem, cuts, Options{Ctl: ctl})
+		if !errors.Is(err, anytime.ErrInterrupted) {
+			t.Fatalf("budget %d of %d: err = %v, want one wrapping ErrInterrupted", budget, total, err)
+		}
+		if batch := uint64(anytime.CheckEvery + 64*maxPairs); ctl.Configs() < budget || ctl.Configs() >= budget+batch {
+			t.Fatalf("budget %d: charged %d configurations, want fewer than one batch (%d) past it", budget, ctl.Configs(), batch)
+		}
+	}
+}
+
+// A chain past any of core's bounds is refused with core.ErrLimit before
+// any segment walk, whatever the options allow: no configuration reaches
+// the hook or the Ctl, and the refusal allocates far less than the DP
+// lattice or the rows it declines. At |𝒟| = 22 the lattice alone is
+// 2^22 floats, 32 MiB.
+func TestSolveLimitsRejectBeforeWalk(t *testing.T) {
+	wide := Options{MaxAssignmentSet: 62, MaxSegmentEdges: 63}
+	cases := []struct {
+		name    string
+		links   []int
+		k, c, d int
+		opt     Options
+		want    string
+	}{
+		// Two cut links of capacity 21 at d = 21: |𝒟| = 22.
+		{"assignments", []int{1, 1}, 2, 21, 21, wide, "|𝒟_1| = 22 exceeds the evaluate kernel's 20"},
+		// Under the option, not just the bound: |𝒟| = 3 against 2.
+		{"assignment option", []int{1, 1}, 2, 2, 2, Options{MaxAssignmentSet: 2}, "exceeds MaxAssignmentSet 2 (raise it, up to 20)"},
+		// A 27-link segment, and a 5-link one against the option.
+		{"segment links", []int{27, 1}, 1, 1, 1, wide, "segment/0 has 27 links, exceeding the evaluate kernel's 26"},
+		{"segment option", []int{1, 5}, 1, 1, 1, Options{MaxSegmentEdges: 4}, "segment/1 has 5 links, exceeding MaxSegmentEdges 4"},
+		// 23 cut links at d = 23: |𝒟| = 1, but a 2^23-entry class table.
+		{"cut links", []int{1, 1}, 23, 1, 23, wide, "cut 1 has 23 links"},
+		// |𝒟| = 20 on both sides of a 22-link middle segment: 400 pairs
+		// of 2^22 bits, past the 20·2^26 a plan side may hold.
+		{"segment rows", []int{1, 22, 1}, 2, 19, 19, wide, "segment/1's 400 assignment pairs over 22 links"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g, dem, cuts := bundleChain(tc.links, tc.k, tc.c, tc.d)
+			ctl := anytime.New(context.Background(), anytime.Budget{})
+			visited := 0
+			opt := tc.opt
+			opt.Ctl = ctl
+			opt.TestHook = func(uint64) { visited++ }
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := Solve(g, dem, cuts, opt)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, core.ErrLimit) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got %v, want an error wrapping core.ErrLimit that says %q", err, tc.want)
+			}
+			if b := after.TotalAlloc - before.TotalAlloc; b > 1<<20 {
+				t.Fatalf("refused chain allocated %d bytes; want under 1 MiB", b)
+			}
+			if visited != 0 || ctl.Configs() != 0 || ctl.MaxFlowCalls() != 0 {
+				t.Fatalf("refused chain walked %d masks, charged %d configurations and %d max-flow calls; want none",
+					visited, ctl.Configs(), ctl.MaxFlowCalls())
+			}
+		})
 	}
 }

@@ -71,7 +71,7 @@ func TestEvalBatchIntoZeroAllocs(t *testing.T) {
 }
 
 // EvalScalar, the reference the kernels are held to, keeps the same
-// contract on its pooled evalScratch.
+// contract on the one-lane kernel's pooled scratch.
 func TestEvalScalarPathZeroAllocs(t *testing.T) {
 	skipUnderRace(t)
 	g, dem, cut := twoBottleneck()

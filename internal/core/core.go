@@ -93,17 +93,17 @@ var ErrLimit = errors.New("core: compile limit")
 // table built for the term bound, unless the caller passes it in classes
 // (a delta compile shares its parent's). It returns the class table.
 func checkLimits(ds *assign.Set, classes []uint64, sides [2]int, opt *Options) ([]uint64, error) {
-	if n, lim := ds.Len(), min(opt.MaxAssignmentSet, maxKernelAssignments); n > lim {
-		return nil, fmt.Errorf("%w: |𝒟| = %d exceeds %s (reduce d·k)", ErrLimit, n, limitName("MaxAssignmentSet", lim, maxKernelAssignments))
+	if n, lim := ds.Len(), min(opt.MaxAssignmentSet, MaxAssignments); n > lim {
+		return nil, fmt.Errorf("%w: |𝒟| = %d exceeds %s (reduce d·k)", ErrLimit, n, LimitName("MaxAssignmentSet", lim, MaxAssignments))
 	}
-	lim := min(opt.MaxSideEdges, maxKernelSideEdges)
+	lim := min(opt.MaxSideEdges, MaxSideLinks)
 	for _, m := range sides {
 		if m > lim {
-			return nil, fmt.Errorf("%w: component has %d links, exceeding %s", ErrLimit, m, limitName("MaxSideEdges", lim, maxKernelSideEdges))
+			return nil, fmt.Errorf("%w: component has %d links, exceeding %s", ErrLimit, m, LimitName("MaxSideEdges", lim, MaxSideLinks))
 		}
 	}
-	if ds.K > maxKernelCutLinks {
-		return nil, fmt.Errorf("%w: bottleneck has %d links, exceeding the evaluate kernel's %d", ErrLimit, ds.K, maxKernelCutLinks)
+	if ds.K > MaxCutLinks {
+		return nil, fmt.Errorf("%w: bottleneck has %d links, exceeding the evaluate kernel's %d", ErrLimit, ds.K, MaxCutLinks)
 	}
 	if classes == nil {
 		classes = ds.Classify()
@@ -114,10 +114,11 @@ func checkLimits(ds *assign.Set, classes []uint64, sides [2]int, opt *Options) (
 	return classes, nil
 }
 
-// limitName names the effective bound lim = min(option, kernel): the
+// LimitName names the effective bound lim = min(option, kernel): the
 // option while the caller set it below the kernel's bound, else the
-// kernel's bound, which no option raises.
-func limitName(option string, lim, kernel int) string {
+// kernel's bound, which no option raises. The chain solver names its
+// bounds with it too.
+func LimitName(option string, lim, kernel int) string {
 	if lim < kernel {
 		return fmt.Sprintf("%s %d (raise it, up to %d)", option, lim, kernel)
 	}
@@ -210,12 +211,22 @@ func planResult(plan *Plan) (Result, error) {
 	}, nil
 }
 
-// buildSide is BuildSide for one side of a compile: it records the
-// side's configuration count and reports the side's phase to the tracer.
+// buildSide constructs the §III-C realization array for one side of a
+// compile: for every failure configuration of the side's links, the set
+// of assignments it realizes, kept as the walk decides it: one bit row
+// per assignment (frontier.go, rows.go). Occurrence probabilities are
+// *not* part of it — they belong to the evaluate phase (Plan.Eval),
+// which is what makes a compiled Plan reusable across probability
+// vectors. terminal is the side's real terminal (s or t, in side node
+// IDs); ends are the side's endpoints of the bottleneck links (x_i or
+// y_i); toSink selects the G_s orientation (route from terminal to the
+// bottleneck endpoints) versus G_t (from the endpoints to the terminal).
+// It records the side's configuration count and reports the side's
+// phase to the tracer.
 func buildSide(sub *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, toSink bool, ds *assign.Set, opt *Options, st *Stats, sideIdx int) ([]uint64, error) {
 	buildStart := time.Now()
 	callsBefore := st.MaxFlowCalls
-	rows, err := BuildSide(sub, terminal, ends, toSink, ds, opt, st)
+	rows, err := walkFrontier(newFrontierCtx(sub, terminal, ends, toSink, ds, opt), st)
 	if err != nil {
 		return nil, err
 	}
@@ -228,30 +239,6 @@ func buildSide(sub *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, 
 			Configs:      st.SideConfigs[sideIdx],
 			MaxFlowCalls: st.MaxFlowCalls - callsBefore,
 		})
-	}
-	return rows, nil
-}
-
-// BuildSide constructs the §III-C realization array for one component:
-// for every failure configuration of the component's links, the set of
-// assignments it realizes, kept as the walk decides it: one bit row per
-// assignment (frontier.go, rows.go), whose law SideLaw sums. Occurrence
-// probabilities are *not* part of it — they belong to the evaluate phase
-// (Plan.Eval), which is what makes a compiled Plan reusable across
-// probability vectors. terminal is the component's real terminal (s or
-// t, in component node IDs); ends are the component-side endpoints of
-// the bottleneck links (x_i or y_i); toSink selects the G_s orientation
-// (route from terminal to the bottleneck endpoints) versus G_t (from the
-// endpoints to the terminal). Only opt.Ctl and opt.TestHook are read, and
-// the walk's work is added to st. The chain solver builds its end
-// segments with it: each is the side of its outermost cut.
-func BuildSide(sub *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, toSink bool, ds *assign.Set, opt *Options, st *Stats) ([]uint64, error) {
-	rows, err := walkFrontier(newFrontierCtx(sub, terminal, ends, toSink, ds, opt), st)
-	if err != nil {
-		return nil, err
-	}
-	if opt.Ctl.Stopped() {
-		return nil, fmt.Errorf("core: side-array construction interrupted: %w", opt.Ctl.Err())
 	}
 	return rows, nil
 }
@@ -282,25 +269,6 @@ func sideProto(sub *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, 
 		src, dst = super, int32(terminal)
 	}
 	return proto, handles, demandArcs, src, dst
-}
-
-// sideNeeds computes the per-assignment net demand that must cross the
-// side links. Flow that enters the super terminal straight from the real
-// terminal (a bottleneck endpoint on the terminal itself) never crosses a
-// side link; only the remainder bounds the live-capacity sum, so the
-// capacity filter must use need = d − direct.
-func sideNeeds(ds *assign.Set, ends []graph.NodeID, terminal graph.NodeID) []int {
-	need := make([]int, ds.Len())
-	for j, a := range ds.Assignments {
-		direct := 0
-		for i, x := range ends {
-			if x == terminal {
-				direct += a[i]
-			}
-		}
-		need[j] = ds.D - direct
-	}
-	return need
 }
 
 // add accumulates the per-worker counters of o into st (SideConfigs is

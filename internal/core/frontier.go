@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/bits"
+	"slices"
 
 	"flowrel/internal/anytime"
 	"flowrel/internal/assign"
@@ -15,7 +17,12 @@ import (
 // link never removes an s–t flow, so if configuration S realizes
 // assignment a then every superset of S does, and if S cannot carry a's
 // load then no subset of S can. Each of those consequences is a set
-// operation, so the walk decides 64 masks per machine word.
+// operation, so the walk decides 64 masks per machine word. The same
+// holds for a chain segment and a pair (a, b) of an incoming and an
+// outgoing assignment (segment.go), so the walk builds segments too: it
+// decides one row per demand-arc load vector, an assignment's loads on a
+// plan side and a pair's on a segment, and "assignment" below stands
+// for either.
 //
 // Layout: assignment j's row holds one bit per side mask; word wi of a
 // row covers masks wi·64 … wi·64+63, so the six low links index a bit
@@ -107,39 +114,72 @@ func disjointLow(a uint64) uint64 {
 	return p
 }
 
-// frontierCtx carries the per-side inputs of one walk.
+// frontierCtx carries the inputs of one walk: the network, whose demand
+// arcs join the super terminals to the walked links' endpoints, and one
+// row per demand-arc load vector. A plan side has one row per assignment
+// (newFrontierCtx), a chain segment one per pair of assignments
+// (newSegmentCtx).
 type frontierCtx struct {
 	proto      *maxflow.Network
 	handles    []maxflow.Handle
 	demandArcs []maxflow.Handle
 	src, dst   int32
 	d          int
-	ds         *assign.Set
+	loads      [][]int // per row: each demand arc's capacity
 	opt        *Options
-	caps       []int // per side link, for the capacity bound
-	need       []int // per assignment: d minus its direct-at-terminal demand
+	caps       []int // per walked link, for the capacity bound
+	need       []int // per row: d minus the flow that crosses no link
 }
 
-// newFrontierCtx builds the solver context for one side, for the cold
+// newFrontierCtx builds the walk context for one plan side, for the cold
 // walk and the delta walks alike.
 func newFrontierCtx(sub *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, toSink bool, ds *assign.Set, opt *Options) *frontierCtx {
-	proto, handles, demandArcs, src, dst := sideProto(sub, terminal, ends, toSink)
-	f := &frontierCtx{
-		proto:      proto,
-		handles:    handles,
-		demandArcs: demandArcs,
-		src:        src,
-		dst:        dst,
-		d:          ds.D,
-		ds:         ds,
-		opt:        opt,
-		caps:       make([]int, len(handles)),
-		need:       sideNeeds(ds, ends, terminal),
-	}
-	for _, e := range sub.G.Edges() {
-		f.caps[e.ID] = e.Cap
+	n := ds.Len()
+	f := &frontierCtx{d: ds.D, opt: opt, caps: linkCaps(sub), loads: make([][]int, n), need: make([]int, n)}
+	f.proto, f.handles, f.demandArcs, f.src, f.dst = sideProto(sub, terminal, ends, toSink)
+	at, whole := []graph.NodeID{terminal}, []int{ds.D}
+	for j, a := range ds.Assignments {
+		f.loads[j] = a
+		f.need[j] = crossNeed(ds.D, at, whole, ends, a)
 	}
 	return f
+}
+
+// linkCaps lists the capacities of sub's links by link ID.
+func linkCaps(sub *graph.Subgraph) []int {
+	caps := make([]int, sub.G.NumEdges())
+	for _, e := range sub.G.Edges() {
+		caps[e.ID] = e.Cap
+	}
+	return caps
+}
+
+// crossNeed is the part of demand d that loads a at the heads and b at
+// the tails must route over links: at a node that is both a head and a
+// tail, flow up to the smaller of what a brings in and b takes out there
+// passes between the super terminals without one. The link capacities
+// must cover the rest, which makes it the capacity bound's threshold.
+// For a plan side the terminal is the one head (or tail) with load d.
+func crossNeed(d int, heads []graph.NodeID, a []int, tails []graph.NodeID, b []int) int {
+	need := d
+	for i, x := range heads {
+		if slices.Index(heads, x) < i {
+			continue // each node once
+		}
+		in, out := 0, 0
+		for i2, x2 := range heads {
+			if x2 == x {
+				in += a[i2]
+			}
+		}
+		for j, y := range tails {
+			if y == x {
+				out += b[j]
+			}
+		}
+		need -= min(in, out)
+	}
+	return need
 }
 
 // frontierWorker is the walk's solver state: a lazily cloned residual
@@ -246,7 +286,7 @@ type wordWalk struct {
 // the same pairs, and the table stays sized by d even where a link
 // carries capacity 10^9.
 func newWordWalk(f *frontierCtx, w *frontierWorker, rows []uint64) *wordWalk {
-	m, n := len(f.handles), f.ds.Len()
+	m, n := len(f.handles), len(f.loads)
 	ww := &wordWalk{
 		f:         f,
 		w:         w,
@@ -334,12 +374,11 @@ func (ww *wordWalk) charge(cfgs uint64, final bool) bool {
 	return ok
 }
 
-// walkFrontier runs the ascending word walk for one side and returns the
-// rows. A panic on the walk (a TestHook fault, say) comes back as the
-// error; interruption is left for the caller to detect via
-// opt.Ctl.Stopped.
+// walkFrontier runs the ascending word walk and returns the rows. A
+// panic on the walk (a TestHook fault, say) comes back as the error, and
+// so does a stopped Ctl, as an error wrapping anytime.ErrInterrupted.
 func walkFrontier(f *frontierCtx, st *Stats) (rows []uint64, err error) {
-	w := newFrontierWorker(f.ds.Len())
+	w := newFrontierWorker(len(f.loads))
 	defer foldWorker(st, w, netStats{})
 	cur := uint64(0)
 	defer anytime.RecoverInto(&err, f.opt.Ctl, "core frontier walk", &cur)
@@ -364,10 +403,13 @@ func walkFrontier(f *frontierCtx, st *Stats) (rows []uint64, err error) {
 			row[wi] = c
 		}
 		if !ww.charge(uint64(ww.n)*per, false) {
-			return nil, nil
+			break
 		}
 	}
 	ww.charge(0, true)
+	if f.opt.Ctl.Stopped() {
+		return nil, fmt.Errorf("core: word walk interrupted: %w", f.opt.Ctl.Err())
+	}
 	return ww.rows, nil
 }
 
@@ -415,9 +457,8 @@ func (w *frontierWorker) solve(f *frontierCtx, j int, mask uint64) (bool, uint64
 	nw := w.nets[j]
 	if nw == nil {
 		nw = f.proto.Clone()
-		a := f.ds.Assignments[j]
-		for i := range f.demandArcs {
-			nw.SetBaseCapDirected(f.demandArcs[i], a[i])
+		for i, h := range f.demandArcs {
+			nw.SetBaseCapDirected(h, f.loads[j][i])
 		}
 		for i := range f.handles {
 			nw.SetEnabled(f.handles[i], false)

@@ -48,17 +48,21 @@ const batchLanes = 8
 type block8 = [8]float64
 
 // The kernel's table bounds. checkLimits (core.go) rejects any plan past
-// them at compile time, so every plan with |𝒟| > 0 has a kernel.
+// them at compile time, so every plan with |𝒟| > 0 has a kernel. The
+// chain solver holds its segments and lattices to the exported ones.
 const (
-	// maxKernelSideEdges bounds 2^m per side so the permutation fits
+	// MaxSideLinks bounds 2^m per side so the permutation fits
 	// uint32 and the lane-block probs arrays stay addressable.
-	maxKernelSideEdges = 26
-	// maxKernelAssignments bounds the dense lattice 2^n (the grouping
+	MaxSideLinks = 26
+	// MaxAssignments bounds the dense lattice 2^n (the grouping
 	// counters and the zeta-path q arrays).
-	maxKernelAssignments = 20
-	// maxKernelCutLinks bounds the class table 2^k (one entry per
+	MaxAssignments = 20
+	// MaxCutLinks bounds the class table 2^k (one entry per
 	// bottleneck configuration), which compile walks into the term table.
-	maxKernelCutLinks = 22
+	MaxCutLinks = 22
+	// MaxRowBits bounds one walk's rows: the most a plan side holds,
+	// MaxAssignments rows of 2^MaxSideLinks bits.
+	MaxRowBits = MaxAssignments << MaxSideLinks
 	// maxKernelTerms bounds the flattened inclusion–exclusion table
 	// (termCount entries).
 	maxKernelTerms = 1 << 22
@@ -95,8 +99,10 @@ type evalKernel struct {
 	segOff [2][]int32
 }
 
-// kscratch1 is the one-lane kernel's per-evaluation scratch: per side,
-// the configuration probabilities and the dense zeta lattice q.
+// kscratch1 is the one-lane kernel's per-evaluation scratch, and
+// EvalScalar's: per side, the configuration probabilities and the dense
+// zeta lattice q, and the cut's probabilities. Both paths write every
+// entry they read.
 type kscratch1 struct {
 	probs [2][]float64
 	q     [2][]float64

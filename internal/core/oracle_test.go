@@ -1,15 +1,16 @@
 package core
 
 import (
+	"flowrel/internal/assign"
 	"flowrel/internal/conf"
 	"flowrel/internal/graph"
 	"flowrel/internal/subset"
 )
 
 // The paper-literal forms of the two exponential phases. Production runs
-// one path per phase — the frontier walk (frontier.go) and the zeta
-// accumulation (EvalScalar and the kernels) — and the corpora hold those
-// paths to these oracles.
+// one path per phase — the word walk (frontier.go), for plan sides and
+// chain segments alike, and the zeta accumulation (EvalScalar and the
+// kernels) — and the corpora hold those paths to these oracles.
 
 // denseRealized rebuilds both realization arrays of a compiled plan the
 // way §III-C states it: one max-flow solve from scratch for every
@@ -44,6 +45,35 @@ func denseRealized(plan *Plan, dem graph.Demand) [2][]uint64 {
 		out[side] = realized
 	}
 	return out
+}
+
+// denseSegment rebuilds a segment's rows (BuildSegment) the same way:
+// one max-flow solve from scratch for every (pair, configuration), pairs
+// in row order a·|out| + b, configurations in plain binary order, on the
+// network the word walk solves on.
+func denseSegment(sub *graph.Subgraph, heads []graph.NodeID, in []assign.Assignment, tails []graph.NodeID, out []assign.Assignment, d int) []uint64 {
+	proto, handles, demandArcs, src, dst := segmentProto(sub, heads, tails)
+	words, _ := rowShape(len(handles))
+	rows := make([]uint64, uint64(len(in)*len(out))*words)
+	row := uint64(0)
+	for _, a := range in {
+		for _, b := range out {
+			nw := proto.Clone()
+			for i, load := range append(append([]int(nil), a...), b...) {
+				nw.SetBaseCapDirected(demandArcs[i], load)
+			}
+			for mask := uint64(0); mask < uint64(1)<<uint(len(handles)); mask++ {
+				for i, h := range handles {
+					nw.SetEnabled(h, mask&(uint64(1)<<uint(i)) != 0)
+				}
+				if nw.MaxFlow(src, dst, d) >= d {
+					rows[row*words+mask>>lowLinks] |= uint64(1) << (mask & (1<<lowLinks - 1))
+				}
+			}
+			row++
+		}
+	}
+	return rows
 }
 
 // accumulateLiteral evaluates a compiled plan by procedure ACCUMULATION

@@ -50,7 +50,6 @@ type Plan struct {
 	classes   []uint64          // ds.Classify(), indexed by bottleneck subset mask
 	sideLinks [2][]graph.EdgeID // per side: side link index → original link ID
 	basePFail []float64         // the graph's probabilities at compile time
-	scratch   sync.Pool         // *evalScratch (EvalScalar)
 
 	// rows holds each side's realization array, the only encoding a plan
 	// keeps: one bit row per assignment (frontier.go, rows.go).
@@ -76,14 +75,6 @@ type Plan struct {
 	// parent race-free — exactly one consumes the warm state, the rest
 	// build fresh, with bit-identical results either way.
 	deltaState [2]atomic.Pointer[deltaSideState]
-}
-
-// evalScratch holds the per-evaluation buffers so concurrent Eval calls
-// never share mutable state; instances are pooled on the Plan.
-type evalScratch struct {
-	probs [2][]float64 // per side: configuration probability per mask
-	q     [2][]float64 // per side: aggregated mass per realized set, zeta'd
-	pCut  []float64    // bottleneck link probabilities
 }
 
 // Compile runs the structure phase once: cut search (unless fixed by
@@ -197,23 +188,9 @@ func CompileWithBottleneck(g *graph.Graph, dem graph.Demand, bt *mincut.Bottlene
 }
 
 // installEvalPhase wires the evaluate phase onto a structurally complete
-// plan: the kernel tables with their scratch pools, and the pooled
-// scratch of the EvalScalar reference.
+// plan: the kernel tables with their scratch pools, which the EvalScalar
+// reference draws on too.
 func (p *Plan) installEvalPhase(k *evalKernel) {
-	n := p.ds.Len()
-	p.scratch.New = func() any {
-		return &evalScratch{
-			probs: [2][]float64{
-				make([]float64, uint64(1)<<uint(p.SideEdges[0])),
-				make([]float64, uint64(1)<<uint(p.SideEdges[1])),
-			},
-			q: [2][]float64{
-				make([]float64, uint64(1)<<uint(n)),
-				make([]float64, uint64(1)<<uint(n)),
-			},
-			pCut: make([]float64, len(p.Cut)),
-		}
-	}
 	p.kern = k
 	p.Stats.KernelTerms = int64(len(k.termX))
 	p.Stats.KernelSegments = int64(len(k.segRM[0]) + len(k.segRM[1]))
@@ -608,8 +585,8 @@ func (p *Plan) EvalScalar(pfail []float64) (float64, error) {
 	if p.ds == nil {
 		return 0, nil
 	}
-	sc := p.scratch.Get().(*evalScratch)
-	defer p.scratch.Put(sc)
+	sc := p.kpool1.Get().(*kscratch1)
+	defer p.kpool1.Put(sc)
 	return p.evalScalarUnchecked(sc, pfail), nil
 }
 
@@ -617,7 +594,7 @@ func (p *Plan) EvalScalar(pfail []float64) (float64, error) {
 // validated vector and a caller-owned scratch.
 //
 //flowrelvet:hotpath scalar evaluate phase on caller-owned scratch (reviewed: PR-8)
-func (p *Plan) evalScalarUnchecked(sc *evalScratch, pfail []float64) float64 {
+func (p *Plan) evalScalarUnchecked(sc *kscratch1, pfail []float64) float64 {
 	for side := 0; side < 2; side++ {
 		fillConfigProbs(sc.probs[side], pfail, p.sideLinks[side])
 	}
@@ -681,7 +658,7 @@ func aggregateInto(q []float64, rows []uint64, n int, probs []float64) {
 // r_{E”} is an inclusion–exclusion sum of lattice lookups.
 //
 //flowrelvet:hotpath zeta accumulation: the EvalScalar reference's inner phase (reviewed: PR-8)
-func (p *Plan) evalZeta(sc *evalScratch) float64 {
+func (p *Plan) evalZeta(sc *kscratch1) float64 {
 	n := p.ds.Len()
 	qs, qt := sc.q[0], sc.q[1]
 	aggregateInto(qs, p.rows[0], n, sc.probs[0])

@@ -1,17 +1,13 @@
 package core
 
-import (
-	"math/bits"
-
-	"flowrel/internal/graph"
-)
+import "math/bits"
 
 // A side's §III-C realization array is kept in one encoding, the rows the
 // word walk decides (frontier.go): assignment j's row holds one bit per
 // side mask, word wi covering masks wi·64 … wi·64+63, and the n rows
 // follow one another. The helpers here read that encoding: the realized
-// set of one mask, the law of a side's realized set, the kernel's
-// segment tables, and the rows of a side one link narrower.
+// set of one mask, the kernel's segment tables, and the rows of a side
+// one link narrower.
 
 // rowShape returns the words per row of an m-link side and the bits of a
 // word that are masks of the side (all 64 unless m < 6).
@@ -31,23 +27,6 @@ func realizedAt(rows []uint64, words uint64, n int, mask uint64) uint64 {
 		rm |= (rows[uint64(j)*words+wi] >> b & 1) << uint(j)
 	}
 	return rm
-}
-
-// SideLaw returns the law of a side's realized set, from the rows
-// BuildSide built for an assignment set of n members: law[rm] is the
-// probability that the side realizes exactly the assignments rm when its
-// links fail independently with probabilities pFail (by side link). It
-// sums in ascending mask order, as EvalScalar's aggregation does.
-func SideLaw(rows []uint64, n int, pFail []float64) []float64 {
-	links := make([]graph.EdgeID, len(pFail))
-	for i := range links {
-		links[i] = graph.EdgeID(i)
-	}
-	probs := make([]float64, uint64(1)<<uint(len(pFail)))
-	fillConfigProbs(probs, pFail, links)
-	law := make([]float64, uint64(1)<<uint(n))
-	aggregateInto(law, rows, n, probs)
-	return law
 }
 
 // rowClass returns the realized set rm of the lowest mask in rem, a set

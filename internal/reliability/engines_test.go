@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -175,15 +176,16 @@ func TestEngineChargesMatchWork(t *testing.T) {
 // TestEnginePanicRecovery injects a panicking hook into every engine on
 // the shared pool, and into chain's end and middle segments: each must
 // return a *PanicError naming the configuration, and the process must
-// survive.
+// survive. Chain's error also names the segment the hook fired in.
 func TestEnginePanicRecovery(t *testing.T) {
 	g, dem := bundle(10)
 	cg, cdem, cuts := chainBundles()
 	rows := append(enumerators(), samplers()...)
 	rows = append(rows, engine{"chain.Solve", func(_ *graph.Graph, _ graph.Demand, opt reliability.Options) error {
-		_, err := chain.Solve(cg, cdem, cuts, chain.Options{Parallelism: opt.Parallelism, TestHook: opt.TestHook})
+		_, err := chain.Solve(cg, cdem, cuts, chain.Options{TestHook: opt.TestHook})
 		return err
 	}})
+	segment := map[uint64]string{5: "segment/0", 100: "segment/1"}
 	for _, e := range rows {
 		for _, at := range []uint64{5, 100} {
 			hook := func(cfg uint64) {
@@ -199,15 +201,17 @@ func TestEnginePanicRecovery(t *testing.T) {
 			if pe.Config != at {
 				t.Fatalf("%s: failing configuration %d, want %d", e.name, pe.Config, at)
 			}
+			if e.name == "chain.Solve" && !strings.Contains(err.Error(), segment[at]) {
+				t.Fatalf("%s: err = %v, want it to name %s", e.name, err, segment[at])
+			}
 		}
 	}
 }
 
 // chainBundles is a three-segment chain s ⇉ a → b ⇉ c → e ⇉ t of
-// link bundles: 3 links in the end segments, which core's side walk
-// builds, and 7 in the middle segment, which the shared walk enumerates.
-// A hook at configuration 5 fires first in the source segment, one at
-// 100 only in the middle segment.
+// link bundles: 3 links in the end segments and 7 in the middle one, all
+// three built by core's word walk. A hook at configuration 5 fires first
+// in the source segment, one at 100 only in the middle segment.
 func chainBundles() (*graph.Graph, graph.Demand, [][]graph.EdgeID) {
 	b := graph.NewBuilder()
 	n := make([]graph.NodeID, 6)
