@@ -187,8 +187,8 @@ type Report struct {
 	// kernelTerms / kernelSegments / kernelLanes describe the compiled
 	// evaluate-phase kernel of the plan that answered (all zero when the
 	// plan is trivial, or a non-core engine ran):
-	// the flattened inclusion–exclusion table size, the realized-mask
-	// segments of the two sides, and the batch block width.
+	// the flattened inclusion–exclusion table size, the (row word,
+	// realized set) runs of the two sides, and the batch block width.
 	kernelTerms    int64
 	kernelSegments int64
 	kernelLanes    int64
@@ -360,13 +360,15 @@ func computeChain(g *Graph, dem Demand, cfg Config, ctl *anytime.Ctl) (Report, e
 		flat = append(flat, cut...)
 	}
 	return Report{
-		Reliability:  res.Reliability,
-		Engine:       EngineChain,
-		Cut:          flat,
-		K:            len(flat),
-		MaxFlowCalls: res.MaxFlowCalls,
-		Lo:           res.Reliability,
-		Hi:           res.Reliability,
+		Reliability:     res.Reliability,
+		Engine:          EngineChain,
+		Cut:             flat,
+		K:               len(flat),
+		MaxFlowCalls:    res.MaxFlowCalls,
+		Configs:         res.Configs,
+		augmentingPaths: res.AugmentingPaths,
+		Lo:              res.Reliability,
+		Hi:              res.Reliability,
 	}, nil
 }
 

@@ -87,12 +87,27 @@ func TestEngineChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	dem := o.Demand(o.Peers[len(o.Peers)-1])
-	rep, err := Compute(o.G, dem, Config{Engine: EngineChain})
+	rep, err := Compute(o.G, dem, Config{Engine: EngineChain, CollectStats: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Engine != EngineChain {
 		t.Fatalf("engine = %v", rep.Engine)
+	}
+	// The Report carries the segment walks' work: the configurations and
+	// max-flow calls their phase events report, and the augmenting paths
+	// those calls found.
+	var configs uint64
+	var calls int64
+	for _, ph := range rep.Stats.Phases {
+		if ph.Engine == "chain" {
+			configs += ph.Configs
+			calls += ph.MaxFlowCalls
+		}
+	}
+	if rep.Configs == 0 || rep.Configs != configs || rep.MaxFlowCalls != calls || rep.Stats.AugmentingPaths == 0 {
+		t.Fatalf("chain report: %d configurations, %d max-flow calls, %d augmenting paths; segment phases: %d configurations, %d calls",
+			rep.Configs, rep.MaxFlowCalls, rep.Stats.AugmentingPaths, configs, calls)
 	}
 	naive, err := Compute(o.G, dem, Config{Engine: EngineNaive})
 	if err != nil {

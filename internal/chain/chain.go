@@ -89,7 +89,11 @@ type Result struct {
 	Cuts         [][]graph.EdgeID // the cut sequence, source side first
 	SegmentEdges []int            // |E₀|, …, |E_r|
 	AssignSizes  []int            // |𝒟₁|, …, |𝒟_r|
-	MaxFlowCalls int64
+	// Configs counts the (pair, configuration) decisions of the segments
+	// walked, Σ pairsᵢ·2^{|Eᵢ|}: exactly what the walks charge opt.Ctl.
+	Configs         uint64
+	MaxFlowCalls    int64
+	AugmentingPaths int64
 }
 
 // chainStructure is the validated decomposition.
@@ -162,10 +166,13 @@ func Solve(g *graph.Graph, dem graph.Demand, cuts [][]graph.EdgeID, opt Options)
 		if err != nil {
 			return Result{}, fmt.Errorf("chain: segment/%d: %w", i, err)
 		}
+		configs := uint64(len(fams[i])*len(fams[i+1])) << uint(seg.G.NumEdges())
+		res.Configs += configs
 		res.MaxFlowCalls += cs.MaxFlowCalls
+		res.AugmentingPaths += cs.AugmentingPaths
 		if tr := opt.Ctl.Tracer(); tr != nil {
 			tr.OnPhase(stats.PhaseEvent{Engine: "chain", Phase: fmt.Sprintf("segment/%d", i),
-				Duration: time.Since(start), MaxFlowCalls: cs.MaxFlowCalls})
+				Duration: time.Since(start), Configs: configs, MaxFlowCalls: cs.MaxFlowCalls})
 		}
 		if i < len(st.cuts) {
 			law = applyCut(law, g, st.cuts[i], sets[i])

@@ -367,8 +367,8 @@ func TestSolveChargesMatchWork(t *testing.T) {
 		if err != nil || res.Reliability == 0 {
 			continue // a patched cut lost minimality, or the walk stopped early
 		}
-		if want := chargedWork(res); ctl.Configs() != want {
-			t.Fatalf("trial %d: charged %d configurations, want %d", trial, ctl.Configs(), want)
+		if want := chargedWork(res); ctl.Configs() != want || res.Configs != want {
+			t.Fatalf("trial %d: charged %d configurations, Result reports %d, want %d", trial, ctl.Configs(), res.Configs, want)
 		}
 		if ctl.MaxFlowCalls() != res.MaxFlowCalls {
 			t.Fatalf("trial %d: charged %d max-flow calls, Result reports %d", trial, ctl.MaxFlowCalls(), res.MaxFlowCalls)
@@ -388,6 +388,9 @@ func TestSolveChargesMatchWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := chargedWork(full)
+	if full.Configs != total || full.AugmentingPaths == 0 {
+		t.Fatalf("bundle chain reports %d configurations and %d augmenting paths, want %d and some", full.Configs, full.AugmentingPaths, total)
+	}
 	const maxPairs = 9
 	for _, budget := range []uint64{1, 5000, total / 2, total - 1} {
 		ctl := anytime.New(context.Background(), anytime.Budget{MaxConfigs: budget})

@@ -161,8 +161,9 @@ type Stats struct {
 	// table the compile built for the evaluate phase (zero only for a
 	// trivial plan, whose cut cannot carry the demand).
 	KernelTerms int64
-	// KernelSegments counts the realized-mask segments across both sides
-	// — the contiguous runs the segmented aggregation sums per Eval.
+	// KernelSegments counts the (row word, realized set) runs across
+	// both sides: the set sums one Eval adds, one per realized set present
+	// in each 64-mask word of a side's rows.
 	KernelSegments int64
 	// KernelLanes is the batch kernel's block width (8, or 1 when the
 	// eight-lane scratch would exceed the memory budget; 0 only for a

@@ -205,19 +205,12 @@ func newFrontierWorker(n int) *frontierWorker {
 // lo (those disjoint from A's low links).
 type cert struct{ hi, lo uint64 }
 
-// certTable holds one walk's cut certificates per assignment, most
-// recently used first. The lists share one backing array of certCap
-// slots each, so recording never allocates.
+// certTable holds one walk's cut certificates per assignment (per row),
+// most recently used first, at most certCap of them. A row's list is
+// allocated at its first certificate and grows by appending, so a row
+// whose solves never fail (a chain segment has one per pair) allocates
+// nothing and one that records a few certificates allocates a few slots.
 type certTable [][]cert
-
-func newCertTable(n int) certTable {
-	buf := make([]cert, n*certCap)
-	t := make(certTable, n)
-	for j := range t {
-		t[j] = buf[j*certCap : j*certCap : (j+1)*certCap]
-	}
-	return t
-}
 
 // prune clears from open the masks of word wi that assignment j's
 // certificates rule out, moving each certificate that clears a mask to
@@ -244,7 +237,7 @@ func (t certTable) record(j int, a uint64) cert {
 	c := cert{hi: a >> lowLinks, lo: disjointLow(a)}
 	l := t[j]
 	if len(l) < certCap {
-		l = l[:len(l)+1]
+		l = append(l, cert{})
 	}
 	copy(l[1:], l)
 	l[0] = c
@@ -290,7 +283,7 @@ func newWordWalk(f *frontierCtx, w *frontierWorker, rows []uint64) *wordWalk {
 	ww := &wordWalk{
 		f:         f,
 		w:         w,
-		certs:     newCertTable(n),
+		certs:     make(certTable, n),
 		n:         n,
 		callsMark: w.stats.FrontierMaxFlowCalls,
 	}

@@ -12,34 +12,44 @@ import (
 	"flowrel/internal/subset"
 )
 
-// This file is the data-oriented evaluate phase. Compile flattens the two
-// closure-driven walks of the scalar evaluator into immutable tables:
+// This file is the data-oriented evaluate phase. Compile flattens the
+// per-bottleneck-configuration submask walk of the scalar evaluator
+// (classes[e] → subset.Submasks callbacks) into a term table — one
+// (x, sign) entry per inclusion–exclusion term, grouped per
+// configuration — so accumulation is a linear pass over two contiguous
+// slices. The side sums read the plan's rows directly, one 64-mask row
+// word at a time:
 //
-//   - the per-bottleneck-configuration submask walk (classes[e] →
-//     subset.Submasks callbacks) becomes a term table — one (x, sign)
-//     entry per inclusion–exclusion term, grouped per configuration — so
-//     evaluation is a linear pass over two contiguous slices;
-//   - each side's rows are grouped by realized-assignment mask into a
-//     permutation plus segment table, so the scalar evaluator's random
-//     scatter q[rm] += probs[mask] becomes independent segmented sums.
+//   - a doubling fill over the side's high links (6…m−1) gives one
+//     product per row word, the factor its 64 masks share;
+//   - an in-word doubling over the six low links, started from that
+//     product, fills the word's 64 configuration probabilities into a
+//     buffer that stays in L1;
+//   - each realized set present in the word (rowClass: one AND of the n
+//     row words) adds the buffer's entries at its bits into q[rm].
 //
-// Two kernels consume the tables. The one-lane kernel evaluates a single
-// scenario over plain float64 arrays. The eight-lane kernel carries eight
-// scenarios together in structure-of-arrays layout ([8]float64 lattice
-// entries — one cache line each): the doubling construction, segmented
-// aggregation, zeta transform and inclusion–exclusion all run stride-1
-// over the lane dimension, turning the scalar evaluator's single serial
-// floating-point dependency chain into eight independent ones.
+// A configuration's probability is therefore its high links' factors
+// times its low links' factors, each group in link order; a side of at
+// most six links has the one word and the plain link order.
+//
+// Two kernels run this. The one-lane kernel evaluates a single scenario
+// over plain float64 arrays. The eight-lane kernel carries eight
+// scenarios together in structure-of-arrays layout ([8]float64 entries —
+// one cache line each): the fills, set sums, zeta transform and
+// inclusion–exclusion all run stride-1 over the lane dimension, turning
+// the scalar evaluator's single serial floating-point dependency chain
+// into eight independent ones.
 //
 // Every per-lane operation happens in exactly the one-lane kernel's
 // order, so lane l of a block evaluation is bit-identical to evaluating
 // scenario l alone — the contract TestEvalBatchIntoQuick and
 // TestPlanEvalBatchDeterministic enforce. The one-lane kernel in turn
-// reproduces the original scalar evaluator (EvalScalar) bit for bit, as
-// TestKernelMatchesScalarCorpus checks: segment sums add in the
-// scatter's ascending-mask order, the term signs fold the parity
-// negation (r += (-parity)·qs·qt is exactly r -= parity·qs·qt), and the
-// configuration walk keeps its ascending order.
+// reproduces the scalar evaluator (EvalScalar) bit for bit, as
+// TestKernelMatchesScalarCorpus checks: the fills are shared, the set
+// sums add each realized set's masks in the scatter's ascending-mask
+// order, the term signs fold the parity negation (r += (-parity)·qs·qt
+// is exactly r -= parity·qs·qt), and the configuration walk keeps its
+// ascending order.
 
 // batchLanes is the wide kernel's block width.
 const batchLanes = 8
@@ -51,11 +61,11 @@ type block8 = [8]float64
 // them at compile time, so every plan with |𝒟| > 0 has a kernel. The
 // chain solver holds its segments and lattices to the exported ones.
 const (
-	// MaxSideLinks bounds 2^m per side so the permutation fits
-	// uint32 and the lane-block probs arrays stay addressable.
+	// MaxSideLinks bounds 2^m per side: the rows' bit count and the
+	// 2^(m−6) high-link products of one evaluation.
 	MaxSideLinks = 26
-	// MaxAssignments bounds the dense lattice 2^n (the grouping
-	// counters and the zeta-path q arrays).
+	// MaxAssignments bounds the dense lattice 2^n (the zeta-path q
+	// arrays).
 	MaxAssignments = 20
 	// MaxCutLinks bounds the class table 2^k (one entry per
 	// bottleneck configuration), which compile walks into the term table.
@@ -78,45 +88,79 @@ type kernelCfg struct {
 	off, end int32
 }
 
-// evalKernel is the compile-time table set. Immutable after Compile.
+// evalKernel is the compile-time term table, grouped per configuration in
+// ascending cut-mask order; within a configuration the terms follow the
+// descending Submasks order of the scalar walk. termSign[t] is
+// -PopcountParity(termX[t]). It depends only on the bottleneck classes,
+// so a mutation chain shares its root's. Immutable after Compile.
 type evalKernel struct {
-	lanes int // batch block width (batchLanes, or 1 when scratch is too big)
-
-	// Inclusion–exclusion term table, grouped per configuration in
-	// ascending cut-mask order; within a configuration the terms follow
-	// the descending Submasks order of the scalar walk. termSign[t] is
-	// -PopcountParity(termX[t]).
 	cfgs     []kernelCfg
 	termX    []uint32
 	termSign []float64
-
-	// Segmented aggregation, per side: perm lists the side configuration
-	// masks grouped by realized mask (ascending mask within each group —
-	// the scatter's addition order); segment s covers
-	// perm[segOff[s]:segOff[s+1]] and has realized mask segRM[s].
-	perm   [2][]uint32
-	segRM  [2][]uint32
-	segOff [2][]int32
 }
 
 // kscratch1 is the one-lane kernel's per-evaluation scratch, and
-// EvalScalar's: per side, the configuration probabilities and the dense
-// zeta lattice q, and the cut's probabilities. Both paths write every
+// EvalScalar's: one side's high-link products (one per row word), one
+// row word's configuration probabilities, both sides' set sums (then
+// zeta lattices) and the cut's probabilities. Both paths write every
 // entry they read.
 type kscratch1 struct {
-	probs [2][]float64
-	q     [2][]float64
-	pCut  []float64
+	hi   []float64
+	word [1 << lowLinks]float64
+	q    [2][]float64
+	pCut []float64
 }
 
 // kscratch8 is the eight-lane kernel's per-worker scratch (same roles,
-// lane blocks).
+// lane blocks), plus the low links' per-lane factors and the block's
+// scenario rows.
 type kscratch8 struct {
-	probs [2][]block8
-	q     [2][]block8
-	pcF   []block8
-	pcL   []block8
-	rows  [8][]float64
+	hi         []block8
+	word       [1 << lowLinks]block8
+	lowF, lowL [lowLinks]block8
+	q          [2][]block8
+	pcF, pcL   []block8
+	rows       [8][]float64
+}
+
+// The scratch pools are process-wide: a scratch refers to no plan, and
+// fit reslices it to the plan at hand, allocating only a slice that a
+// larger plan than any before needs.
+var (
+	kpool1 = sync.Pool{New: func() any { return new(kscratch1) }}
+	kpool8 = sync.Pool{New: func() any { return new(kscratch8) }}
+)
+
+// fitLen returns s resliced to n entries, or a fresh slice when s is too
+// short.
+func fitLen[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// scratchShape is the lengths an evaluation of p needs: the high-link
+// products of its wider side, a lattice of 2^n entries per side, and the
+// cut.
+func (p *Plan) scratchShape() (hi, q, cut int) {
+	w0, _ := rowShape(p.SideEdges[0])
+	w1, _ := rowShape(p.SideEdges[1])
+	return int(max(w0, w1)), 1 << uint(p.ds.Len()), len(p.Cut)
+}
+
+func (sc *kscratch1) fit(p *Plan) {
+	hi, q, cut := p.scratchShape()
+	sc.hi = fitLen(sc.hi, hi)
+	sc.q[0], sc.q[1] = fitLen(sc.q[0], q), fitLen(sc.q[1], q)
+	sc.pCut = fitLen(sc.pCut, cut)
+}
+
+func (sc *kscratch8) fit(p *Plan) {
+	hi, q, cut := p.scratchShape()
+	sc.hi = fitLen(sc.hi, hi)
+	sc.q[0], sc.q[1] = fitLen(sc.q[0], q), fitLen(sc.q[1], q)
+	sc.pcF, sc.pcL = fitLen(sc.pcF, cut), fitLen(sc.pcL, cut)
 }
 
 // termCount is the size of the flattened inclusion–exclusion table:
@@ -131,12 +175,11 @@ func termCount(classes []uint64) int {
 	return terms
 }
 
-// compileKernel flattens the compiled structure into the evaluate-phase
-// tables and returns them; checkLimits has already bounded their size.
-// It only reads the Plan; plan.go installs the result — Plan writes stay
-// in the compile phase planimmut polices.
+// compileKernel flattens the compiled structure into the term table and
+// returns it; checkLimits has already bounded its size. It only reads the
+// Plan; plan.go installs the result — Plan writes stay in the compile
+// phase planimmut polices.
 func (p *Plan) compileKernel() *evalKernel {
-	n := p.ds.Len()
 	terms := termCount(p.classes)
 	k := &evalKernel{
 		termX:    make([]uint32, 0, terms),
@@ -158,52 +201,36 @@ func (p *Plan) compileKernel() *evalKernel {
 		})
 		k.cfgs = append(k.cfgs, kernelCfg{cut: e, off: off, end: int32(len(k.termX))})
 	}
-
-	for side := 0; side < 2; side++ {
-		k.perm[side], k.segRM[side], k.segOff[side] = groupRows(p.rows[side], n, p.SideEdges[side])
-	}
-
-	k.lanes = p.kernelLanes()
 	mKernelBuilds.Inc()
 	mKernelTermEntries.Add(int64(len(k.termX)))
 	return k
 }
 
-// compileKernelDelta builds the evaluate-phase tables for a mutated plan,
-// sharing every table the mutation cannot touch: the term tables depend
-// only on the bottleneck classes (identical by construction — the delta
-// path shares the parent's assignment set), and the untouched side's
-// segment grouping depends only on its rows, which transferred verbatim.
-// Only the touched side's grouping is recomputed, by the same groupRows a
-// cold compile runs, so the resulting kernel is entry-for-entry identical
-// to a cold build's. Like compileKernel it only reads the plans; plan.go
-// installs the result.
-func (p *Plan) compileKernelDelta(parent *Plan, touched int) *evalKernel {
-	pk := parent.kern
-	n := p.ds.Len()
-	k := &evalKernel{
-		lanes:    p.kernelLanes(),
-		cfgs:     pk.cfgs,
-		termX:    pk.termX,
-		termSign: pk.termSign,
-	}
-	other := 1 - touched
-	k.perm[other], k.segRM[other], k.segOff[other] = pk.perm[other], pk.segRM[other], pk.segOff[other]
-	k.perm[touched], k.segRM[touched], k.segOff[touched] = groupRows(p.rows[touched], n, p.SideEdges[touched])
-	mKernelBuilds.Inc()
-	return k
-}
-
 // kernelLanes is the batch block width for the plan: batchLanes, or 1
 // when the eight-lane scratch would exceed maxBlockScratchFloats. The
-// per-lane footprint of one evaluation scratch is both sides'
-// configuration probabilities, both zeta lattices and the cut factors.
+// per-lane footprint of one evaluation scratch is the wider side's
+// high-link products, the word buffer, both lattices and the cut
+// factors.
 func (p *Plan) kernelLanes() int {
-	f := (1 << uint(p.SideEdges[0])) + (1 << uint(p.SideEdges[1])) + (2 << uint(p.ds.Len())) + 2*len(p.Cut)
-	if f*batchLanes > maxBlockScratchFloats {
+	hi, q, cut := p.scratchShape()
+	if (hi+1<<lowLinks+2*q+2*cut)*batchLanes > maxBlockScratchFloats {
 		return 1
 	}
 	return batchLanes
+}
+
+// wordRuns counts the set sums one evaluation makes over a side's rows:
+// for every row word, the realized sets present in it.
+func wordRuns(rows []uint64, n, m int) int64 {
+	words, valid := rowShape(m)
+	runs := int64(0)
+	for wi := uint64(0); wi < words; wi++ {
+		for rem := valid; rem != 0; runs++ {
+			_, set := rowClass(rows, words, n, wi, rem)
+			rem &^= set
+		}
+	}
+	return runs
 }
 
 func popcount(x uint64) int {
@@ -214,93 +241,20 @@ func popcount(x uint64) int {
 	return c
 }
 
-// kshape is the slice lengths of a one-lane kernel scratch. Plans of one
-// shape share a process-wide pool of scratches (kpools), so a fresh plan's
-// first Eval reuses a scratch another plan returned instead of
-// allocating one as large as its side arrays. The compile limits bound
-// every length, so the set of shapes is finite.
-type kshape struct {
-	probs, q [2]int
-	cut      int
-}
-
-// kpools maps each kshape to its *sync.Pool of *kscratch1. The map lives
-// as long as the process, so no pool's New may capture a *Plan: the
-// first plan of each shape would stay reachable forever.
-var kpools sync.Map
-
-// kpool1For returns the shared one-lane scratch pool for the plan's
-// shape, creating it on first use.
-func kpool1For(p *Plan) *sync.Pool {
-	sh := kshape{cut: len(p.Cut)}
-	for side := 0; side < 2; side++ {
-		sh.probs[side] = 1 << uint(p.SideEdges[side])
-		sh.q[side] = 1 << uint(p.ds.Len())
-	}
-	if pool, ok := kpools.Load(sh); ok {
-		return pool.(*sync.Pool)
-	}
-	pool, _ := kpools.LoadOrStore(sh, &sync.Pool{New: func() any { return newKScratch1(sh) }})
-	return pool.(*sync.Pool)
-}
-
-func newKScratch1(sh kshape) *kscratch1 {
-	sc := &kscratch1{pCut: make([]float64, sh.cut)}
-	for side := 0; side < 2; side++ {
-		sc.probs[side] = make([]float64, sh.probs[side])
-		sc.q[side] = make([]float64, sh.q[side])
-	}
-	return sc
-}
-
-func newKScratch8(p *Plan) *kscratch8 {
-	n := p.ds.Len()
-	sc := &kscratch8{
-		probs: [2][]block8{
-			make([]block8, uint64(1)<<uint(p.SideEdges[0])),
-			make([]block8, uint64(1)<<uint(p.SideEdges[1])),
-		},
-		q: [2][]block8{
-			make([]block8, uint64(1)<<uint(n)),
-			make([]block8, uint64(1)<<uint(n)),
-		},
-		pcF: make([]block8, len(p.Cut)),
-		pcL: make([]block8, len(p.Cut)),
-	}
-	return sc
-}
-
 // evalKernel1 evaluates one already-validated scenario through the
-// one-lane kernel: existing doubling fill, then segmented aggregation and
-// the term table.
+// one-lane kernel: side sums, zeta transform and the term table.
 //
 //flowrelvet:hotpath one-lane evaluate kernel: runs once per scenario on caller-owned scratch; any heap traffic here is paid per evaluation (reviewed: PR-8)
 func (p *Plan) evalKernel1(sc *kscratch1, pfail []float64) float64 {
 	k := p.kern
+	n := p.ds.Len()
 	for side := 0; side < 2; side++ {
-		fillConfigProbs(sc.probs[side], pfail, p.sideLinks[side])
+		sideSums1(sc.q[side], sc, p.rows[side], n, pfail, p.sideLinks[side])
 	}
 	for i, eid := range p.Cut {
 		sc.pCut[i] = pfail[eid]
 	}
-
-	n := p.ds.Len()
 	qs, qt := sc.q[0], sc.q[1]
-	for side := 0; side < 2; side++ {
-		q := sc.q[side]
-		for i := range q {
-			q[i] = 0
-		}
-		probs := sc.probs[side]
-		perm, segRM, segOff := k.perm[side], k.segRM[side], k.segOff[side]
-		for s, rm := range segRM {
-			sum := 0.0
-			for _, mask := range perm[segOff[s]:segOff[s+1]] {
-				sum += probs[mask]
-			}
-			q[rm] = sum
-		}
-	}
 	subset.SupersetZeta(qs, n)
 	subset.SupersetZeta(qt, n)
 
@@ -316,22 +270,45 @@ func (p *Plan) evalKernel1(sc *kscratch1, pfail []float64) float64 {
 	return total
 }
 
-// fillConfigProbs8 is fillConfigProbs over eight lanes: probs[mask][l]
-// becomes the occurrence probability of side configuration mask under
-// scenario rows[l]. Same doubling construction, same per-lane multiply
-// order.
+// laneFactors loads link eid's per-lane failure and survival factors
+// from the block's scenarios.
+func laneFactors(pf, pl *block8, scen *[8][]float64, eid graph.EdgeID) {
+	for l, pfail := range scen {
+		pf[l] = pfail[eid]
+		pl[l] = 1 - pf[l]
+	}
+}
+
+// sideSums8 is sideSums1 over the eight lanes of sc.rows: the same
+// fills, by the same doubling layers, and the same set sums, per lane.
 //
 //flowrelvet:hotpath doubling fill feeding the eight-lane kernel: O(2^m) inner loop per block (reviewed: PR-8)
-func fillConfigProbs8(probs []block8, rows *[8][]float64, links []graph.EdgeID) {
-	probs[0] = block8{1, 1, 1, 1, 1, 1, 1, 1}
-	var pf, pl block8
-	for i, eid := range links {
-		for l, row := range rows {
-			pf[l] = row[eid]
-			pl[l] = 1 - pf[l]
+func sideSums8(q []block8, sc *kscratch8, rows []uint64, n int, links []graph.EdgeID) {
+	clear(q)
+	words, valid := rowShape(len(links))
+	hi := sc.hi[:words]
+	hi[0] = block8{1, 1, 1, 1, 1, 1, 1, 1}
+	for i := lowLinks; i < len(links); i++ {
+		var pf, pl block8
+		laneFactors(&pf, &pl, &sc.rows, links[i])
+		half := 1 << uint(i-lowLinks)
+		fillStep8(hi[:half], hi[half:2*half], &pf, &pl)
+	}
+	low := min(len(links), lowLinks)
+	for i := 0; i < low; i++ {
+		laneFactors(&sc.lowF[i], &sc.lowL[i], &sc.rows, links[i])
+	}
+	for wi := range hi {
+		sc.word[0] = hi[wi]
+		for i := 0; i < low; i++ {
+			half := 1 << uint(i)
+			fillStep8(sc.word[:half], sc.word[half:2*half], &sc.lowF[i], &sc.lowL[i])
 		}
-		half := 1 << uint(i)
-		fillStep8(probs[:half], probs[half:2*half], &pf, &pl)
+		for rem := valid; rem != 0; {
+			rm, set := rowClass(rows, words, n, uint64(wi), rem)
+			rem &^= set
+			setSum8(&q[rm], &sc.word, set)
+		}
 	}
 }
 
@@ -342,32 +319,14 @@ func fillConfigProbs8(probs []block8, rows *[8][]float64, links []graph.EdgeID) 
 //flowrelvet:hotpath eight-lane evaluate kernel: the batch throughput path, one call per lane block (reviewed: PR-8)
 func (p *Plan) evalKernel8(sc *kscratch8) block8 {
 	k := p.kern
+	n := p.ds.Len()
 	for side := 0; side < 2; side++ {
-		fillConfigProbs8(sc.probs[side], &sc.rows, p.sideLinks[side])
+		sideSums8(sc.q[side], sc, p.rows[side], n, p.sideLinks[side])
 	}
 	for i, eid := range p.Cut {
-		var fail, live block8
-		for l, row := range sc.rows {
-			fail[l] = row[eid]
-			live[l] = 1 - row[eid]
-		}
-		sc.pcF[i] = fail
-		sc.pcL[i] = live
+		laneFactors(&sc.pcF[i], &sc.pcL[i], &sc.rows, eid)
 	}
-
-	n := p.ds.Len()
 	qs, qt := sc.q[0], sc.q[1]
-	for side := 0; side < 2; side++ {
-		q := sc.q[side]
-		for i := range q {
-			q[i] = block8{}
-		}
-		probs := sc.probs[side]
-		perm, segRM, segOff := k.perm[side], k.segRM[side], k.segOff[side]
-		for s, rm := range segRM {
-			segSum8(&q[rm], probs, perm[segOff[s]:segOff[s+1]])
-		}
-	}
 	subset.SupersetZetaBlock(qs, n)
 	subset.SupersetZetaBlock(qt, n)
 
@@ -414,8 +373,9 @@ func cutProb8(sc *kscratch8, cut uint64) block8 {
 //
 //flowrelvet:hotpath pooled-scratch helper behind Plan.Eval: Get/Put must be the only pool traffic, never a fresh scratch in steady state (reviewed: PR-8)
 func (p *Plan) evalOneKernel(pfail []float64) float64 {
-	sc := p.kpool1.Get().(*kscratch1)
-	defer p.kpool1.Put(sc)
+	sc := kpool1.Get().(*kscratch1)
+	defer kpool1.Put(sc)
+	sc.fit(p)
 	return p.evalKernel1(sc, pfail)
 }
 
@@ -468,18 +428,19 @@ func (p *Plan) EvalBatchInto(dst []float64, scenarios [][]float64, opt BatchOpti
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	lanes := p.kern.lanes
+	lanes := p.lanes
 	nblocks := (len(scenarios) + lanes - 1) / lanes
 	if workers > nblocks {
 		workers = nblocks
 	}
 	if workers == 1 {
-		// Single-worker fast path: drain inline on the calling goroutine.
-		// No worker goroutines and no closure means no per-call heap
-		// allocation — the shape the hotalloc gate and the AllocsPerRun
-		// regression tests hold to zero steady-state allocations.
-		var next atomic.Int64
-		p.drain(&next, dst, scenarios, base, nblocks)
+		// Single-worker fast path: drain inline on the calling goroutine,
+		// counting the items itself. No worker goroutines, no closure and
+		// no shared counter (which a 32-bit target would move to the heap
+		// for its alignment) means no per-call heap allocation — the shape
+		// the hotalloc gate and the AllocsPerRun regression tests hold to
+		// zero steady-state allocations.
+		p.drain(nil, dst, scenarios, base, nblocks)
 	} else {
 		runPool(workers, func(next *atomic.Int64) {
 			p.drain(next, dst, scenarios, base, nblocks)
@@ -487,7 +448,7 @@ func (p *Plan) EvalBatchInto(dst []float64, scenarios [][]float64, opt BatchOpti
 	}
 	mEvalBlocks.Add(int64(nblocks))
 	mKernelLanes.Add(int64(nblocks * lanes))
-	mSegmentSums.Add(int64(nblocks * (len(p.kern.segRM[0]) + len(p.kern.segRM[1]))))
+	mSegmentSums.Add(int64(nblocks) * p.Stats.KernelSegments)
 	return nil
 }
 
@@ -514,20 +475,18 @@ func vectorName(i int) string {
 }
 
 // drain is the batch worker body: one pooled scratch checked out for the
-// whole loop, work items handed out by the shared atomic counter. The
-// counter is compared in 64 bits so the poisoned value runPool stores on
-// a worker panic stops every drain loop on 32-bit targets too.
+// whole loop, work items handed out by the shared atomic counter, or in
+// order when next is nil (the inline path). The counter is compared in 64
+// bits so the poisoned value runPool stores on a worker panic stops every
+// drain loop on 32-bit targets too.
 //
 //flowrelvet:hotpath batch drain loop: pooled per-worker scratch, no per-item allocation; error paths were rejected by EvalBatchInto before the loop started (reviewed: PR-8)
 func (p *Plan) drain(next *atomic.Int64, dst []float64, scenarios [][]float64, base []float64, nblocks int) {
-	if p.kern.lanes == 1 {
-		sc := p.kpool1.Get().(*kscratch1)
-		defer p.kpool1.Put(sc)
-		for {
-			i := next.Add(1) - 1
-			if i >= int64(len(scenarios)) {
-				return
-			}
+	if p.lanes == 1 {
+		sc := kpool1.Get().(*kscratch1)
+		defer kpool1.Put(sc)
+		sc.fit(p)
+		for i := claim(next, -1); i < int64(len(scenarios)); i = claim(next, i) {
 			if h := p.blockHook; h != nil {
 				h()
 			}
@@ -537,14 +496,12 @@ func (p *Plan) drain(next *atomic.Int64, dst []float64, scenarios [][]float64, b
 			}
 			dst[i] = p.evalKernel1(sc, pfail)
 		}
+		return
 	}
-	sc := p.kpool8.Get().(*kscratch8)
-	defer p.kpool8.Put(sc)
-	for {
-		b := next.Add(1) - 1
-		if b >= int64(nblocks) {
-			return
-		}
+	sc := kpool8.Get().(*kscratch8)
+	defer kpool8.Put(sc)
+	sc.fit(p)
+	for b := claim(next, -1); b < int64(nblocks); b = claim(next, b) {
 		if h := p.blockHook; h != nil {
 			h()
 		}
@@ -565,10 +522,19 @@ func (p *Plan) drain(next *atomic.Int64, dst []float64, scenarios [][]float64, b
 		for l := 0; l < hi-lo; l++ {
 			dst[lo+l] = r[l]
 		}
-		for l := range sc.rows {
-			sc.rows[l] = nil
-		}
 	}
+	for l := range sc.rows {
+		sc.rows[l] = nil
+	}
+}
+
+// claim returns the work item after last: the shared counter's next
+// item, or last+1 when there is no counter.
+func claim(next *atomic.Int64, last int64) int64 {
+	if next == nil {
+		return last + 1
+	}
+	return next.Add(1) - 1
 }
 
 // poisonCounter is stored into the work counter when a worker panics:

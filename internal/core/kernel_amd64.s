@@ -58,25 +58,24 @@ fillavxloop:
 	VZEROUPPER
 	RET
 
-// func segSumAVX(dst *block8, probs *block8, perm *uint32, n int)
+// func setSumAVX(dst *block8, word *[64]block8, set uint64)
 //
-// dst = Σ probs[perm[i]] per lane, adding in perm order. n ≥ 1.
-TEXT ·segSumAVX(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ probs+8(FP), SI
-	MOVQ perm+16(FP), DX
-	MOVQ n+24(FP), CX
-	VXORPD X0, X0, X0
-	VXORPD X1, X1, X1
+// dst += word[b] per lane for each set bit b, ascending. set ≠ 0.
+TEXT ·setSumAVX(SB), NOSPLIT, $0-24
+	MOVQ    dst+0(FP), DI
+	MOVQ    word+8(FP), SI
+	MOVQ    set+16(FP), CX
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
 
-segavxloop:
-	MOVL   (DX), AX
-	SHLQ   $6, AX
-	VADDPD (SI)(AX*1), Y0, Y0
-	VADDPD 32(SI)(AX*1), Y1, Y1
-	ADDQ   $4, DX
-	DECQ   CX
-	JNZ    segavxloop
+setavxloop:
+	BSFQ    CX, AX
+	SHLQ    $6, AX
+	VADDPD  (SI)(AX*1), Y0, Y0
+	VADDPD  32(SI)(AX*1), Y1, Y1
+	LEAQ    -1(CX), DX
+	ANDQ    DX, CX
+	JNZ     setavxloop
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, 32(DI)
 	VZEROUPPER

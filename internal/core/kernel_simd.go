@@ -1,7 +1,9 @@
 package core
 
+import "math/bits"
+
 // SIMD dispatch for the eight-lane kernel's two inner loops: one doubling
-// layer of the configuration-probability fill and one segmented sum. The
+// layer of the configuration-probability fill and one set sum. The
 // vector implementations perform exactly the scalar loop's per-lane
 // multiplies and adds in the same order — packed IEEE-754 arithmetic is
 // elementwise identical to scalar arithmetic, and no fused multiply-adds
@@ -40,27 +42,24 @@ func fillStepGo(lo, hi []block8, pf, pl *block8) {
 	}
 }
 
-// segSum8 writes Σ_{i} probs[perm[i]] into dst, per lane, adding in
-// perm order (the grouped scatter's ascending-mask order).
+// setSum8 adds to dst, per lane, the word's entries at the bits of set,
+// in ascending bit order: one realized set's segment of a row word, in
+// the scatter's ascending-mask order. set ≠ 0.
 //
 //flowrelvet:hotpath SIMD dispatch for the segmented sum (reviewed: PR-8)
-func segSum8(dst *block8, probs []block8, perm []uint32) {
-	if len(perm) == 0 {
-		*dst = block8{}
-		return
-	}
+func setSum8(dst *block8, word *[1 << lowLinks]block8, set uint64) {
 	if kernelSIMD == simdAVX {
-		segSumAVX(dst, &probs[0], &perm[0], len(perm))
+		setSumAVX(dst, word, set)
 		return
 	}
-	segSumGo(dst, probs, perm)
+	setSumGo(dst, word, set)
 }
 
 //flowrelvet:hotpath portable twin of the segment-sum vector routine (reviewed: PR-8)
-func segSumGo(dst *block8, probs []block8, perm []uint32) {
-	var sum block8
-	for _, mask := range perm {
-		pb := &probs[mask]
+func setSumGo(dst *block8, word *[1 << lowLinks]block8, set uint64) {
+	sum := *dst
+	for ; set != 0; set &= set - 1 {
+		pb := &word[bits.TrailingZeros64(set)&(1<<lowLinks-1)]
 		for l := 0; l < batchLanes; l++ {
 			sum[l] += pb[l]
 		}

@@ -37,4 +37,4 @@ func xgetbv0() (lo, hi uint32)
 func fillStepAVX(lo, hi *block8, n int, pf, pl *block8)
 
 //go:noescape
-func segSumAVX(dst *block8, probs *block8, perm *uint32, n int)
+func setSumAVX(dst *block8, word *[1 << lowLinks]block8, set uint64)

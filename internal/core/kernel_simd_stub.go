@@ -11,6 +11,6 @@ func fillStepAVX(lo, hi *block8, n int, pf, pl *block8) {
 	panic("core: SIMD kernel on non-amd64")
 }
 
-func segSumAVX(dst *block8, probs *block8, perm *uint32, n int) {
+func setSumAVX(dst *block8, word *[1 << lowLinks]block8, set uint64) {
 	panic("core: SIMD kernel on non-amd64")
 }

@@ -225,33 +225,39 @@ func TestEvalBatchSharedPlanConcurrent(t *testing.T) {
 	}
 }
 
-// TestSharedScratchAcrossPlans: plans of one shape draw their one-lane
-// scratch from one process-wide pool. Two such plans evaluated from many
-// goroutines at once must still give each caller the sequential answers,
-// and the pool must not keep a plan alive once its caller drops it.
+// TestSharedScratchAcrossPlans: every plan draws its scratch from the
+// process-wide pools (one per lane width) and fits it to its own shape.
+// Plans of two shapes evaluated from many goroutines at once, one-lane
+// and eight-lane, must still give each caller the sequential answers,
+// and the pools must not keep a plan alive once its caller drops it.
 func TestSharedScratchAcrossPlans(t *testing.T) {
 	g, dem, cut := twoBottleneck()
-	var plans [2]*Plan
-	for i := range plans {
-		p, err := Compile(g, dem, Options{Bottleneck: cut})
-		if err != nil {
-			t.Fatal(err)
-		}
-		plans[i] = p
-	}
-	if plans[0].kpool1 == nil || plans[0].kpool1 != plans[1].kpool1 {
-		t.Fatal("two plans of one shape do not share a scratch pool")
+	small, err := Compile(g, dem, Options{Bottleneck: cut})
+	if err != nil {
+		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(41))
-	scenarios := make([][]float64, 16)
+	var large *Plan
+	for try := 0; large == nil; try++ {
+		if try == 100 {
+			t.Fatal("no planted graph with a side past one row word")
+		}
+		g2, dem2, cut2 := plantBottleneck(rng, 6, 9, 2, 2)
+		p, err := Compile(g2, dem2, Options{Bottleneck: cut2})
+		if err == nil && p.ds != nil && p.SideEdges[0] > lowLinks {
+			large = p
+		}
+	}
+	plans := [2]*Plan{small, large}
+	scenarios := make([][2][]float64, 16)
 	want := make([][2]float64, len(scenarios))
 	for i := range scenarios {
-		pf := plans[0].BasePFail()
-		for j := range pf {
-			pf[j] = rng.Float64() * 0.9
-		}
-		scenarios[i] = pf
 		for k, p := range plans {
+			pf := p.BasePFail()
+			for j := range pf {
+				pf[j] = rng.Float64() * 0.9
+			}
+			scenarios[i][k] = pf
 			r, err := p.Eval(pf)
 			if err != nil {
 				t.Fatal(err)
@@ -265,10 +271,11 @@ func TestSharedScratchAcrossPlans(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			var dst [batchLanes + 1]float64
 			for iter := 0; iter < 20; iter++ {
 				i := (w + iter) % len(scenarios)
 				k := (w + iter) % 2
-				got, err := plans[k].Eval(scenarios[i])
+				got, err := plans[k].Eval(scenarios[i][k])
 				if err != nil {
 					errs[w] = err
 					return
@@ -276,6 +283,20 @@ func TestSharedScratchAcrossPlans(t *testing.T) {
 				if math.Float64bits(got) != math.Float64bits(want[i][k]) {
 					errs[w] = fmt.Errorf("worker %d: plan %d scenario %d: %.17g != %.17g", w, k, i, got, want[i][k])
 					return
+				}
+				batch := make([][]float64, len(dst))
+				for b := range batch {
+					batch[b] = scenarios[(i+b)%len(scenarios)][k]
+				}
+				if err := plans[k].EvalBatchInto(dst[:], batch, BatchOptions{Parallelism: 1}); err != nil {
+					errs[w] = err
+					return
+				}
+				for b, got := range dst {
+					if wb := want[(i+b)%len(scenarios)][k]; math.Float64bits(got) != math.Float64bits(wb) {
+						errs[w] = fmt.Errorf("worker %d: plan %d batch entry %d: %.17g != %.17g", w, k, b, got, wb)
+						return
+					}
 				}
 			}
 		}(w)
@@ -287,12 +308,6 @@ func TestSharedScratchAcrossPlans(t *testing.T) {
 		}
 	}
 
-	// Start from an empty pool table so the dropped plan is the first of
-	// its shape: the one a capturing New would pin.
-	kpools.Range(func(k, _ any) bool {
-		kpools.Delete(k)
-		return true
-	})
 	released := make(chan struct{})
 	func() {
 		p, err := Compile(g, dem, Options{Bottleneck: cut})
@@ -302,8 +317,11 @@ func TestSharedScratchAcrossPlans(t *testing.T) {
 		if _, err := p.Eval(nil); err != nil {
 			t.Fatal(err)
 		}
-		// A Plan's own pools reference it, so the finalizer watches its
-		// kernel: reachable exactly as long as the plan is.
+		if _, err := p.EvalBatch(make([][]float64, batchLanes), 1); err != nil {
+			t.Fatal(err)
+		}
+		// The finalizer watches the plan's kernel: reachable exactly as
+		// long as the plan is.
 		runtime.SetFinalizer(p.kern, func(*evalKernel) { close(released) })
 	}()
 	for i := 0; i < 20; i++ {
@@ -409,47 +427,5 @@ func TestEvalBatchIntoBase(t *testing.T) {
 	}
 	if err := plan.EvalBatchInto(nil, nil, BatchOptions{}); err != nil {
 		t.Fatalf("empty batch: %v", err)
-	}
-}
-
-// TestKernelGroupByRealized sanity-checks the counting sort: the
-// permutation must list every configuration exactly once, grouped by
-// realized mask with ascending masks inside each group (the scalar
-// scatter's addition order).
-func TestKernelGroupByRealized(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(4)
-		m := 1 + rng.Intn(8)
-		realized := make([]uint64, 1<<uint(m))
-		for i := range realized {
-			realized[i] = uint64(rng.Intn(1 << uint(n)))
-		}
-		perm, segRM, segOff := groupByRealized(realized, n)
-		if len(perm) != len(realized) {
-			t.Fatalf("trial %d: perm covers %d of %d configs", trial, len(perm), len(realized))
-		}
-		if len(segOff) != len(segRM)+1 || segOff[len(segRM)] != int32(len(realized)) {
-			t.Fatalf("trial %d: inconsistent segment offsets", trial)
-		}
-		seen := make([]bool, len(realized))
-		for s, rm := range segRM {
-			if s > 0 && segRM[s-1] >= rm {
-				t.Fatalf("trial %d: segment masks not ascending", trial)
-			}
-			group := perm[segOff[s]:segOff[s+1]]
-			for i, mask := range group {
-				if realized[mask] != uint64(rm) {
-					t.Fatalf("trial %d: config %d grouped under rm %d, realized %d", trial, mask, rm, realized[mask])
-				}
-				if i > 0 && group[i-1] >= mask {
-					t.Fatalf("trial %d: group for rm %d not in ascending mask order", trial, rm)
-				}
-				if seen[mask] {
-					t.Fatalf("trial %d: config %d listed twice", trial, mask)
-				}
-				seen[mask] = true
-			}
-		}
 	}
 }

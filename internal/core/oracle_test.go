@@ -91,8 +91,7 @@ func accumulateLiteral(plan *Plan, pfail []float64) float64 {
 	var realized [2][]uint64
 	for side := range probs {
 		realized[side] = planRealized(plan, side)
-		probs[side] = make([]float64, len(realized[side]))
-		fillConfigProbs(probs[side], pfail, plan.sideLinks[side])
+		probs[side] = denseProbs(pfail, plan.sideLinks[side])
 	}
 	pCut := make([]float64, len(plan.Cut))
 	for i, eid := range plan.Cut {

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
+	"math/bits"
 	"sync/atomic"
 	"time"
 
@@ -19,7 +19,7 @@ import (
 // Plan is the compiled form of a bottleneck decomposition: everything the
 // solver learns about the *structure* of the instance — the cut, the
 // assignment family 𝒟, and the two sides' realization arrays, kept as the
-// walk's bit rows and grouped into the evaluate kernel's segment tables —
+// walk's bit rows, which the evaluate kernel reads one word at a time —
 // none of which depends on the links' failure probabilities. Building a
 // Plan costs the full O(2^{α|E|}·|V|·|E|) side-array phase (every max-flow
 // call the solver will ever make); evaluating it against a probability
@@ -55,15 +55,13 @@ type Plan struct {
 	// keeps: one bit row per assignment (frontier.go, rows.go).
 	rows [2][]uint64
 
-	// kern is the data-oriented evaluate phase (kernel.go): term tables
-	// and segment groupings flattened at compile time. The compile limits
-	// (checkLimits) guarantee one for every plan with |𝒟| > 0; only a
-	// trivial plan has none. kpool1 is the process-wide pool of one-lane
-	// kernel scratches for this plan's shape; kpool8 pools the plan's own
-	// eight-lane scratches.
-	kern   *evalKernel
-	kpool1 *sync.Pool // *kscratch1
-	kpool8 sync.Pool  // *kscratch8
+	// kern is the evaluate phase's term table (kernel.go), flattened at
+	// compile time and shared down a mutation chain; the side sums read
+	// rows directly. The compile limits (checkLimits) guarantee one for
+	// every plan with |𝒟| > 0; only a trivial plan has none. lanes is the
+	// batch block width (kernelLanes).
+	kern  *evalKernel
+	lanes int
 	// blockHook, when non-nil, runs once per work item inside the batch
 	// worker loops — a test seam for asserting bounded concurrency.
 	blockHook func()
@@ -181,22 +179,26 @@ func CompileWithBottleneck(g *graph.Graph, dem graph.Demand, bt *mincut.Bottlene
 	mFrontierMaxFlow.Add(p.Stats.FrontierMaxFlowCalls)
 
 	kernStart := time.Now()
-	k := p.compileKernel()
+	p.installEvalPhase(p.compileKernel(), p.countRuns())
 	observePhase(opt.Ctl, mKernelBuildTime, "kernel", time.Since(kernStart))
-	p.installEvalPhase(k)
 	return p, nil
 }
 
 // installEvalPhase wires the evaluate phase onto a structurally complete
-// plan: the kernel tables with their scratch pools, which the EvalScalar
-// reference draws on too.
-func (p *Plan) installEvalPhase(k *evalKernel) {
+// plan: the term table, the batch block width and the Stats describing
+// them, runs being the (word, set) runs of both sides' rows.
+func (p *Plan) installEvalPhase(k *evalKernel, runs int64) {
 	p.kern = k
+	p.lanes = p.kernelLanes()
 	p.Stats.KernelTerms = int64(len(k.termX))
-	p.Stats.KernelSegments = int64(len(k.segRM[0]) + len(k.segRM[1]))
-	p.Stats.KernelLanes = int64(k.lanes)
-	p.kpool1 = kpool1For(p)
-	p.kpool8.New = func() any { return newKScratch8(p) }
+	p.Stats.KernelSegments = runs
+	p.Stats.KernelLanes = int64(p.lanes)
+}
+
+// countRuns counts the set sums one evaluation makes over both sides.
+func (p *Plan) countRuns() int64 {
+	n := p.ds.Len()
+	return wordRuns(p.rows[0], n, p.SideEdges[0]) + wordRuns(p.rows[1], n, p.SideEdges[1])
 }
 
 // MutatePlan compiles the successor of parent after the single-link
@@ -494,18 +496,18 @@ func mutateCompile(parent *Plan, gOld, g *graph.Graph, dem graph.Demand, mut gra
 	mFrontierMaxFlow.Add(p.Stats.FrontierMaxFlowCalls)
 	mDeltaReused.Add(p.Stats.DeltaReused)
 
-	// When the touched side kept the parent's rows and width, both sides
-	// are the parent's own and the kernel tables — functions of the rows
-	// and the shared assignment structure only — transfer wholesale. (An
-	// add to a side of under six links can keep the parent's row words:
-	// the new top bit's half of each word stays clear.)
+	// The term table depends only on the bottleneck classes, which the
+	// child shares, so the parent's transfers. When the touched side also
+	// kept the parent's rows and width, both sides are the parent's own
+	// and so is the run count. (An add to a side of under six links can
+	// keep the parent's row words: the new top bit's half of each word
+	// stays clear.) Otherwise the kernel phase recounts the runs.
 	if p.SideEdges == parent.SideEdges && sameWords(p.rows[touched], parent.rows[touched]) {
-		p.installEvalPhase(parent.kern)
+		p.installEvalPhase(parent.kern, parent.Stats.KernelSegments)
 	} else {
 		kernStart := time.Now()
-		k := p.compileKernelDelta(parent, touched)
+		p.installEvalPhase(parent.kern, p.countRuns())
 		observePhase(opt.Ctl, mKernelBuildTime, "kernel", time.Since(kernStart))
-		p.installEvalPhase(k)
 	}
 	return p, nil
 }
@@ -566,9 +568,11 @@ func (p *Plan) Eval(pfail []float64) (float64, error) {
 	return p.evalOneKernel(pfail), nil
 }
 
-// EvalScalar is Eval on the scalar (pre-kernel) evaluate phase: the
-// reference implementation the kernels are tested and benchmarked
-// against; the one-lane kernel reproduces it bit for bit.
+// EvalScalar is Eval on the scalar evaluate phase: the reference
+// implementation the kernels are tested and benchmarked against. It
+// shares the kernels' configuration probabilities but scatters each mask
+// into the lattice entry of the set realizedAt reads for it; the one-lane
+// kernel reproduces it bit for bit.
 func (p *Plan) EvalScalar(pfail []float64) (float64, error) {
 	if pfail == nil {
 		pfail = p.basePFail
@@ -585,8 +589,9 @@ func (p *Plan) EvalScalar(pfail []float64) (float64, error) {
 	if p.ds == nil {
 		return 0, nil
 	}
-	sc := p.kpool1.Get().(*kscratch1)
-	defer p.kpool1.Put(sc)
+	sc := kpool1.Get().(*kscratch1)
+	defer kpool1.Put(sc)
+	sc.fit(p)
 	return p.evalScalarUnchecked(sc, pfail), nil
 }
 
@@ -595,8 +600,9 @@ func (p *Plan) EvalScalar(pfail []float64) (float64, error) {
 //
 //flowrelvet:hotpath scalar evaluate phase on caller-owned scratch (reviewed: PR-8)
 func (p *Plan) evalScalarUnchecked(sc *kscratch1, pfail []float64) float64 {
+	n := p.ds.Len()
 	for side := 0; side < 2; side++ {
-		fillConfigProbs(sc.probs[side], pfail, p.sideLinks[side])
+		aggregateInto(sc.q[side], sc, p.rows[side], n, pfail, p.sideLinks[side])
 	}
 	for i, eid := range p.Cut {
 		sc.pCut[i] = pfail[eid]
@@ -616,53 +622,96 @@ func (p *Plan) EvalBatch(scenarios [][]float64, parallelism int) ([]float64, err
 	return out, nil
 }
 
-// fillConfigProbs writes the occurrence probability of every failure
-// configuration of the side links into probs (len 2^m): probs[mask] =
-// Π_{alive}(1-p)·Π_{dead}p (Eq. 2). The doubling construction multiplies
-// the per-link factors in link order, making each entry bit-identical to
-// the conf.Table.Prob product the eager solver used — at O(2^m) total
-// instead of O(m·2^m).
+// sideSums1 writes one side's set sums for one scenario into q (2^n
+// entries): q[rm] is the probability that the side's configuration
+// realizes exactly the assignment set rm (Eq. 2 summed by realized set).
+// Each realized set present in a row word adds the word's probabilities
+// at its bits, ascending, so every q[rm] sums its masks in ascending
+// order, as aggregateInto's scatter does.
 //
 //flowrelvet:hotpath O(2^m) doubling fill, the largest single loop of every evaluation (reviewed: PR-8)
-func fillConfigProbs(probs []float64, pfail []float64, links []graph.EdgeID) {
-	probs[0] = 1
-	for i, eid := range links {
-		pf := pfail[eid]
-		pl := 1 - pf
-		half := uint64(1) << uint(i)
-		for mask := uint64(0); mask < half; mask++ {
-			v := probs[mask]
-			probs[mask|half] = v * pl
-			probs[mask] = v * pf
+func sideSums1(q []float64, sc *kscratch1, rows []uint64, n int, pfail []float64, links []graph.EdgeID) {
+	clear(q)
+	words, valid := rowShape(len(links))
+	hi := sc.hi[:words]
+	fillHigh(hi, pfail, links)
+	low := links[:min(len(links), lowLinks)]
+	for wi, top := range hi {
+		fillWord(&sc.word, top, pfail, low)
+		for rem := valid; rem != 0; {
+			rm, set := rowClass(rows, words, n, uint64(wi), rem)
+			rem &^= set
+			s := q[rm]
+			for ; set != 0; set &= set - 1 {
+				s += sc.word[bits.TrailingZeros64(set)&(1<<lowLinks-1)]
+			}
+			q[rm] = s
 		}
 	}
 }
 
-// aggregateInto sums configuration probabilities by realized-assignment
-// mask: q[rm] = P(side configuration realizes exactly the set rm), in
-// ascending mask order, each mask's set read from the side's n rows.
-//
-//flowrelvet:hotpath per-evaluation scatter over the side array (reviewed: PR-8)
-func aggregateInto(q []float64, rows []uint64, n int, probs []float64) {
-	for i := range q {
-		q[i] = 0
-	}
-	words := uint64(len(rows) / n)
-	for mask := range probs {
-		q[realizedAt(rows, words, n, uint64(mask))] += probs[mask]
+// fillHigh writes into hi, one entry per row word wi, the product of the
+// side's high-link factors (links 6…m−1) that word wi's masks share: a
+// doubling fill from 1 in link order, so entry wi multiplies, link by
+// link, 1−p(e) where wi has the link's bit and p(e) where it does not. A
+// side of at most six links has the one word and the product 1.
+func fillHigh(hi []float64, pfail []float64, links []graph.EdgeID) {
+	hi[0] = 1
+	for i := lowLinks; i < len(links); i++ {
+		pf := pfail[links[i]]
+		pl := 1 - pf
+		half := 1 << uint(i-lowLinks)
+		for w, v := range hi[:half] {
+			hi[w+half] = v * pl
+			hi[w] = v * pf
+		}
 	}
 }
 
-// evalZeta computes Eq. 3 with the superset-zeta aggregation: Q[X] =
-// P(side realizes every assignment in X) in one transform, then each
-// r_{E”} is an inclusion–exclusion sum of lattice lookups.
+// fillWord writes one row word's configuration probabilities into word:
+// entry b is the word's high-link product top times the low links'
+// factors, a doubling in link order over bits 0…len(low)−1 (Eq. 2).
+func fillWord(word *[1 << lowLinks]float64, top float64, pfail []float64, low []graph.EdgeID) {
+	word[0] = top
+	for i, eid := range low {
+		pf := pfail[eid]
+		pl := 1 - pf
+		half := 1 << uint(i)
+		for b, v := range word[:half] {
+			word[b+half] = v * pl
+			word[b] = v * pf
+		}
+	}
+}
+
+// aggregateInto is sideSums1 as a per-mask scatter: over the same word
+// fills, each mask adds its probability to q[rm] for the set rm that
+// realizedAt reads from the side's n rows, masks in ascending order.
+//
+//flowrelvet:hotpath per-evaluation scatter over the side array (reviewed: PR-8)
+func aggregateInto(q []float64, sc *kscratch1, rows []uint64, n int, pfail []float64, links []graph.EdgeID) {
+	clear(q)
+	words, valid := rowShape(len(links))
+	hi := sc.hi[:words]
+	fillHigh(hi, pfail, links)
+	low := links[:min(len(links), lowLinks)]
+	for wi, top := range hi {
+		fillWord(&sc.word, top, pfail, low)
+		for b := uint64(0); b < 1<<lowLinks && valid>>b&1 != 0; b++ {
+			q[realizedAt(rows, words, n, uint64(wi)<<lowLinks|b)] += sc.word[b]
+		}
+	}
+}
+
+// evalZeta computes Eq. 3 from the side sums in sc.q with the
+// superset-zeta aggregation: Q[X] = P(side realizes every assignment in
+// X) in one transform, then each r_{E”} is an inclusion–exclusion sum of
+// lattice lookups.
 //
 //flowrelvet:hotpath zeta accumulation: the EvalScalar reference's inner phase (reviewed: PR-8)
 func (p *Plan) evalZeta(sc *kscratch1) float64 {
 	n := p.ds.Len()
 	qs, qt := sc.q[0], sc.q[1]
-	aggregateInto(qs, p.rows[0], n, sc.probs[0])
-	aggregateInto(qt, p.rows[1], n, sc.probs[1])
 	subset.SupersetZeta(qs, n)
 	subset.SupersetZeta(qt, n)
 

@@ -6,8 +6,8 @@ import "math/bits"
 // word walk decides (frontier.go): assignment j's row holds one bit per
 // side mask, word wi covering masks wi·64 … wi·64+63, and the n rows
 // follow one another. The helpers here read that encoding: the realized
-// set of one mask, the kernel's segment tables, and the rows of a side
-// one link narrower.
+// set of one mask, the masks of a word that realize one set (the
+// kernel's set sums), and the rows of a side one link narrower.
 
 // rowShape returns the words per row of an m-link side and the bits of a
 // word that are masks of the side (all 64 unless m < 6).
@@ -43,56 +43,6 @@ func rowClass(rows []uint64, words uint64, n int, wi, rem uint64) (rm, set uint6
 		set &= w ^ (bit - 1)
 	}
 	return rm, set
-}
-
-// groupRows builds one side's segment tables from its rows (m links, n
-// assignments): perm lists the masks grouped by realized set, ascending
-// inside each group (the scalar scatter's addition order), and segment s
-// covers perm[segOff[s]:segOff[s+1]] with realized set segRM[s], the sets
-// ascending. The rows are read one word at a time, twice: once to size
-// the groups, once to place each mask.
-func groupRows(rows []uint64, n, m int) (perm, segRM []uint32, segOff []int32) {
-	words, valid := rowShape(m)
-	counts := make([]int32, uint64(1)<<uint(n))
-	nseg := 0
-	for wi := uint64(0); wi < words; wi++ {
-		for rem := valid; rem != 0; {
-			rm, set := rowClass(rows, words, n, wi, rem)
-			rem &^= set
-			if counts[rm] == 0 {
-				nseg++
-			}
-			counts[rm] += int32(bits.OnesCount64(set))
-		}
-	}
-	segRM = make([]uint32, 0, nseg)
-	segOff = make([]int32, 0, nseg+1)
-	total := int32(0)
-	for rm, c := range counts {
-		if c == 0 {
-			continue
-		}
-		counts[rm] = total // reuse as the group's running write position
-		segRM = append(segRM, uint32(rm))
-		segOff = append(segOff, total)
-		total += c
-	}
-	segOff = append(segOff, total)
-	perm = make([]uint32, total)
-	for wi := uint64(0); wi < words; wi++ {
-		base := uint32(wi << lowLinks)
-		for rem := valid; rem != 0; {
-			rm, set := rowClass(rows, words, n, wi, rem)
-			rem &^= set
-			pos := counts[rm]
-			for ; set != 0; set &= set - 1 {
-				perm[pos] = base | uint32(bits.TrailingZeros64(set))
-				pos++
-			}
-			counts[rm] = pos
-		}
-	}
-	return perm, segRM, segOff
 }
 
 // removeRows returns the rows of an m-link side after its link j was

@@ -97,9 +97,10 @@ type SolveStats struct {
 	// KernelTerms / KernelSegments / KernelLanes describe the compiled
 	// evaluate-phase kernel of the answering plan (core engine only; all
 	// zero only for a trivial plan, whose cut cannot carry the demand):
-	// flattened inclusion–exclusion terms, realized-mask segments across
-	// both sides, and the batch block width. Reported on cache hits too —
-	// the cached plan's tables did this call's aggregation.
+	// flattened inclusion–exclusion terms, the set sums one evaluation
+	// adds across both sides (one per realized set present in each
+	// 64-mask row word), and the batch block width. Reported on cache
+	// hits too — the cached plan's tables did this call's aggregation.
 	KernelTerms    int64 `json:"kernel_terms"`
 	KernelSegments int64 `json:"kernel_segments"`
 	KernelLanes    int64 `json:"kernel_lanes"`
