@@ -264,6 +264,10 @@ func run(args []string, stdin io.Reader, stdout io.Writer) (retErr error) {
 			if st := rep.Stats; st != nil {
 				fmt.Fprintf(stdout, "stats: %v total, %d augmenting paths, plan cache hit %v\n",
 					time.Duration(st.TotalNanos).Round(time.Microsecond), st.AugmentingPaths, st.PlanCacheHit)
+				if rep.Engine == flowrel.EngineCore {
+					fmt.Fprintf(stdout, "stats: pairs pruned %d by capacity, %d by closure, %d off-path; on-path links %d (G_s), %d (G_t)\n",
+						st.PrunedCapacity, st.PrunedClosure, st.PrunedOffPath, st.OnPathLinks[0], st.OnPathLinks[1])
+				}
 				for _, p := range st.Phases {
 					fmt.Fprintf(stdout, "  phase %s/%s: %v, %d max-flow calls\n",
 						p.Engine, p.Phase, time.Duration(p.DurationNanos).Round(time.Microsecond), p.MaxFlowCalls)

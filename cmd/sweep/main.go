@@ -217,6 +217,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 			"pruning": map[string]int64{
 				"pruned_capacity":         delta.Counters["core.pruned_capacity"],
 				"pruned_closure":          delta.Counters["core.pruned_closure"],
+				"pruned_off_path":         delta.Counters["core.pruned_off_path"],
 				"frontier_max_flow_calls": delta.Counters["core.frontier_max_flow_calls"],
 			},
 		}

@@ -177,13 +177,19 @@ type Report struct {
 	// documented fields above.
 	planCacheHit    bool
 	augmentingPaths int64
-	// prunedCapacity / prunedClosure / frontierMaxFlowCalls describe the
-	// frontier side engine's work split: pairs discarded by the capacity
-	// bound, pairs closed from a realized submask, and the max-flow calls
-	// actually paid (all zero on a cache hit or a non-frontier engine).
+	// prunedCapacity / prunedClosure / prunedOffPath /
+	// frontierMaxFlowCalls describe the frontier side engine's work
+	// split: pairs discarded by the capacity bound, pairs closed from a
+	// realized submask, pairs copied past off-path links, and the
+	// max-flow calls actually paid (all zero on a cache hit or a
+	// non-frontier engine).
 	prunedCapacity       int64
 	prunedClosure        int64
+	prunedOffPath        int64
 	frontierMaxFlowCalls int64
+	// onPathLinks is, per side, the links of the answering plan that can
+	// carry flow (core engine only).
+	onPathLinks [2]int
 	// kernelTerms / kernelSegments / kernelLanes describe the compiled
 	// evaluate-phase kernel of the plan that answered (all zero when the
 	// plan is trivial, or a non-core engine ran):
@@ -327,11 +333,13 @@ func computeCore(g *Graph, dem Demand, cfg Config, ctl *anytime.Ctl) (Report, er
 		rep.augmentingPaths = plan.Stats.AugmentingPaths
 		rep.prunedCapacity = plan.Stats.PrunedCapacity
 		rep.prunedClosure = plan.Stats.PrunedClosure
+		rep.prunedOffPath = plan.Stats.PrunedOffPath
 		rep.frontierMaxFlowCalls = plan.Stats.FrontierMaxFlowCalls
 	}
-	// The kernel fields describe the evaluate phase this call actually
-	// ran, so they report even on a cache hit — the cached plan's tables
-	// did the work.
+	// The on-path counts and the kernel fields describe the plan that
+	// answered, so they report even on a cache hit — the cached plan's
+	// tables did the work.
+	rep.onPathLinks = plan.Stats.OnPathLinks
 	rep.kernelTerms = plan.Stats.KernelTerms
 	rep.kernelSegments = plan.Stats.KernelSegments
 	rep.kernelLanes = plan.Stats.KernelLanes

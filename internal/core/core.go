@@ -135,6 +135,11 @@ type Stats struct {
 	// SideConfigs is the number of failure configurations enumerated per
 	// side (2^{|E_s|} and 2^{|E_t|}).
 	SideConfigs [2]uint64
+	// OnPathLinks is, per side, the number of links that can carry flow:
+	// of positive capacity and on a directed path from the side's
+	// terminal to a cut endpoint (G_s) or back (G_t). The cold walk
+	// decides only configurations of these; the rest are copies.
+	OnPathLinks [2]int
 	// RealizationChecks counts (assignment, configuration) feasibility
 	// decisions — the paper's |𝒟|·2^{|E_side|} cost term.
 	RealizationChecks int64
@@ -147,6 +152,10 @@ type Stats struct {
 	// PrunedClosure counts pairs decided realizable by superset closure:
 	// a submask of the configuration already realizes the assignment.
 	PrunedClosure int64
+	// PrunedOffPath counts pairs the cold walk decided by stepping over
+	// off-path links: copied from the word without an off-path high link,
+	// or spread from the mask without its off-path low links.
+	PrunedOffPath int64
 	// FrontierMaxFlowCalls counts the max-flow invocations the frontier
 	// engine actually paid (the pairs no closure, capacity bound or
 	// certificate decided, including incremental repair solves); the
@@ -227,11 +236,13 @@ func planResult(plan *Plan) (Result, error) {
 func buildSide(sub *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, toSink bool, ds *assign.Set, opt *Options, st *Stats, sideIdx int) ([]uint64, error) {
 	buildStart := time.Now()
 	callsBefore := st.MaxFlowCalls
-	rows, err := walkFrontier(newFrontierCtx(sub, terminal, ends, toSink, ds, opt), st)
+	f := newFrontierCtx(sub, terminal, ends, toSink, ds, opt)
+	rows, err := walkFrontier(f, st)
 	if err != nil {
 		return nil, err
 	}
 	st.SideConfigs[sideIdx] = uint64(1) << uint(sub.G.NumEdges())
+	st.OnPathLinks[sideIdx] = onPathCount(sub.G, f.off)
 	if tr := opt.Ctl.Tracer(); tr != nil {
 		tr.OnPhase(stats.PhaseEvent{
 			Engine:       "core",
@@ -246,12 +257,17 @@ func buildSide(sub *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, 
 
 // sideProto builds the prototype max-flow network for one component: the
 // component links plus one super terminal carrying the per-assignment
-// demand arcs. Shared by the cold and delta walks and by the dense
-// reference walk the tests hold them to, so all of them solve on
-// byte-identical networks.
+// demand arcs, laid out exactly sized. Shared by the cold and delta
+// walks and by the dense reference walk the tests hold them to, so all
+// of them solve on byte-identical networks.
 func sideProto(sub *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, toSink bool) (proto *maxflow.Network, handles, demandArcs []maxflow.Handle, src, dst int32) {
-	proto = maxflow.New(sub.G.NumNodes())
-	super := proto.AddNode()
+	super := int32(sub.G.NumNodes())
+	deg := linkDegrees(sub, int(super)+1)
+	for _, x := range ends {
+		deg[x]++
+		deg[super]++
+	}
+	proto = maxflow.NewSized(deg)
 	handles = make([]maxflow.Handle, sub.G.NumEdges())
 	for _, e := range sub.G.Edges() {
 		handles[e.ID] = proto.AddDirected(int32(e.U), int32(e.V), e.Cap)
@@ -272,8 +288,20 @@ func sideProto(sub *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, 
 	return proto, handles, demandArcs, src, dst
 }
 
-// add accumulates the per-worker counters of o into st (SideConfigs is
-// set once by buildSide, not summed).
+// linkDegrees returns, for a network of n ≥ sub's node count nodes, the
+// arc ends sub's links put at each node: the degree pass that lets
+// maxflow.NewSized lay the network out exactly.
+func linkDegrees(sub *graph.Subgraph, n int) []int {
+	deg := make([]int, n)
+	for _, e := range sub.G.Edges() {
+		deg[e.U]++
+		deg[e.V]++
+	}
+	return deg
+}
+
+// add accumulates the per-worker counters of o into st (SideConfigs and
+// OnPathLinks are set once by buildSide, not summed).
 func (st *Stats) add(o *Stats) {
 	st.MaxFlowCalls += o.MaxFlowCalls
 	st.AugmentUnits += o.AugmentUnits
@@ -281,6 +309,7 @@ func (st *Stats) add(o *Stats) {
 	st.RealizationChecks += o.RealizationChecks
 	st.PrunedCapacity += o.PrunedCapacity
 	st.PrunedClosure += o.PrunedClosure
+	st.PrunedOffPath += o.PrunedOffPath
 	st.FrontierMaxFlowCalls += o.FrontierMaxFlowCalls
 	st.DeltaReused += o.DeltaReused
 }

@@ -24,9 +24,11 @@ import (
 //     pointer-wise (they are immutable after compile).
 //   - A mutation on one side cannot change the other side's max flows:
 //     that side's rows transfer verbatim.
-//   - A link on no directed path between the side's terminals carries no
-//     flow in any configuration, so a capacity change on it changes no
-//     max flow: the touched side's rows transfer verbatim too.
+//   - A link on no directed path between the side's terminals
+//     (offPathLinks, whose answer for a link does not depend on that
+//     link's own capacity) carries no flow in any configuration, so a
+//     capacity change on it changes no max flow: the touched side's rows
+//     transfer verbatim too.
 //   - Otherwise feasibility is monotone in both the link set and the
 //     link capacities, so the parent's rows bracket the new ones:
 //     removing a link is a pure bit extraction (zero max-flow calls),
@@ -128,52 +130,6 @@ func sideAligned(parentLinks, remap, newLinks []graph.EdgeID, skip int) bool {
 		k++
 	}
 	return k == len(newLinks)
-}
-
-// offPath reports whether side link j lies on no directed path through
-// links of positive capacity from the side's sources to its sinks (G_s
-// routes from the real terminal to the cut endpoints, G_t from the
-// endpoints to the terminal): no source reaches its tail, or its head
-// reaches no sink. internal/reduce applies the same rule to whole
-// graphs. Such a link carries no flow in any configuration under any
-// capacity of its own, so a capacity change on it leaves every row as it
-// was.
-func offPath(sub *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, toSink bool, j int) bool {
-	from, to := []graph.NodeID{terminal}, ends
-	if !toSink {
-		from, to = to, from
-	}
-	e := sub.G.Edge(graph.EdgeID(j))
-	return !reaches(sub.G, from, e.U, false) || !reaches(sub.G, to, e.V, true)
-}
-
-// reaches reports whether target is reachable from one of starts along
-// links of positive capacity, followed backward when reverse is set.
-func reaches(g *graph.Graph, starts []graph.NodeID, target graph.NodeID, reverse bool) bool {
-	seen := make([]bool, g.NumNodes())
-	stack := append([]graph.NodeID(nil), starts...)
-	for _, u := range starts {
-		seen[u] = true
-	}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if u == target {
-			return true
-		}
-		for _, eid := range g.Incident(u) {
-			e := g.Edge(eid)
-			tail, head := e.U, e.V
-			if reverse {
-				tail, head = head, tail
-			}
-			if tail == u && e.Cap > 0 && !seen[head] {
-				seen[head] = true
-				stack = append(stack, head)
-			}
-		}
-	}
-	return false
 }
 
 // walkDelta re-decides the touched-side configurations that contain the

@@ -79,6 +79,9 @@ func assertPlansEqual(t *testing.T, seed int64, step int, delta, cold *Plan, cha
 			t.Fatalf("seed %d step %d: delta counts %d set sums, cold %d", seed, step, delta.Stats.KernelSegments, cold.Stats.KernelSegments)
 		}
 	}
+	if delta.Stats.OnPathLinks != cold.Stats.OnPathLinks {
+		t.Fatalf("seed %d step %d: on-path links delta %v, cold %v", seed, step, delta.Stats.OnPathLinks, cold.Stats.OnPathLinks)
+	}
 	if chargedDelta != chargedCold {
 		t.Fatalf("seed %d step %d: delta charged %d configs, cold charged %d — budgets diverge", seed, step, chargedDelta, chargedCold)
 	}

@@ -31,6 +31,12 @@ import (
 // order and decides each (assignment, word) by the first of these that
 // applies to a bit:
 //
+//   - off-path links: a link on no path from a head to a tail
+//     (offPathLinks), or of capacity 0, carries no flow, so a mask
+//     realizes what it realizes without that link. A word whose index
+//     holds such a high link copies the word without it, and inside a
+//     word only the masks free of such low links are decided; one
+//     shift-and-OR per off-path low link spreads them onto the rest.
 //   - upward (closure): a mask is realized when a proper submask is.
 //     Dropping one high link gives an earlier, final word, so OR-ing
 //     those words and closing the result upward inside the word (six
@@ -59,10 +65,13 @@ import (
 // feasibility, so the resulting array is bit-identical to a dense walk
 // that solves every pair from scratch (the tests' oracle). Budget
 // accounting matches that walk too: every (assignment, configuration)
-// pair is charged, per word, whether it was pruned or solved, so anytime
-// budgets and certified partial bounds see |𝒟|·2^m configurations per
-// side. A certificate holds only under the capacities it was made with,
-// so every walk — cold or delta — starts with empty lists.
+// pair is charged, per word, whether it was copied, pruned or solved,
+// and TestHook sees every mask, so anytime budgets and certified
+// partial bounds see |𝒟|·2^m configurations per side. A certificate
+// holds only under the capacities it was made with, so every walk —
+// cold or delta — starts with empty lists. The delta walks (delta.go)
+// walk every link: a warm state patches links and capacities into its
+// context, which can put an off-path link back on a path.
 
 // certCap bounds each assignment's certificate list, and with it the
 // scan per open (assignment, word); past it the least recently used
@@ -129,13 +138,19 @@ type frontierCtx struct {
 	opt        *Options
 	caps       []int // per walked link, for the capacity bound
 	need       []int // per row: d minus the flow that crosses no link
+	// off holds the links the cold walk steps over, as built: the
+	// off-path ones and those of capacity 0. A warm delta state patches
+	// links and capacities without updating it; walkDelta never reads it.
+	off uint64
 }
 
 // newFrontierCtx builds the walk context for one plan side, for the cold
 // walk and the delta walks alike.
 func newFrontierCtx(sub *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, toSink bool, ds *assign.Set, opt *Options) *frontierCtx {
 	n := ds.Len()
-	f := &frontierCtx{d: ds.D, opt: opt, caps: linkCaps(sub), loads: make([][]int, n), need: make([]int, n)}
+	f := &frontierCtx{d: ds.D, opt: opt, loads: make([][]int, n), need: make([]int, n)}
+	f.caps, f.off = linkCaps(sub)
+	f.off |= sideOffPath(sub, terminal, ends, toSink)
 	f.proto, f.handles, f.demandArcs, f.src, f.dst = sideProto(sub, terminal, ends, toSink)
 	at, whole := []graph.NodeID{terminal}, []int{ds.D}
 	for j, a := range ds.Assignments {
@@ -145,13 +160,90 @@ func newFrontierCtx(sub *graph.Subgraph, terminal graph.NodeID, ends []graph.Nod
 	return f
 }
 
-// linkCaps lists the capacities of sub's links by link ID.
-func linkCaps(sub *graph.Subgraph) []int {
-	caps := make([]int, sub.G.NumEdges())
+// linkCaps lists the capacities of sub's links by link ID, and returns
+// the links of capacity 0 as a mask.
+func linkCaps(sub *graph.Subgraph) (caps []int, zero uint64) {
+	caps = make([]int, sub.G.NumEdges())
 	for _, e := range sub.G.Edges() {
 		caps[e.ID] = e.Cap
+		if e.Cap == 0 {
+			zero |= 1 << uint(e.ID)
+		}
 	}
-	return caps
+	return caps, zero
+}
+
+// offPathLinks returns, as a mask over g's link IDs, the links on no
+// directed path of positive-capacity links from a source to a sink: no
+// source reaches the link's tail, or its head reaches no sink. Such a
+// link carries no flow in any configuration (flow through it would
+// close a cycle, which cancels), so whether it is live never changes a
+// max flow. A link's own capacity enters only the other links' tests,
+// so the answer for it holds under any capacity of its own.
+// internal/reduce applies the same rule to whole graphs but renumbers
+// the links; this keeps their IDs. g has at most 64 links; up to 64
+// nodes it does not allocate.
+func offPathLinks(g *graph.Graph, sources, sinks []graph.NodeID) uint64 {
+	var small [2]uint64
+	from, to := small[:1], small[1:]
+	if w := (g.NumNodes() + 63) / 64; w > 1 {
+		buf := make([]uint64, 2*w)
+		from, to = buf[:w], buf[w:]
+	}
+	has := func(set []uint64, v graph.NodeID) bool { return set[v>>6]>>(uint(v)&63)&1 != 0 }
+	add := func(set []uint64, v graph.NodeID) { set[v>>6] |= 1 << (uint(v) & 63) }
+	for _, v := range sources {
+		add(from, v)
+	}
+	for _, v := range sinks {
+		add(to, v)
+	}
+	edges := g.Edges()
+	for grew := true; grew; {
+		grew = false
+		for _, e := range edges {
+			if e.Cap <= 0 {
+				continue
+			}
+			if has(from, e.U) && !has(from, e.V) {
+				add(from, e.V)
+				grew = true
+			}
+			if has(to, e.V) && !has(to, e.U) {
+				add(to, e.U)
+				grew = true
+			}
+		}
+	}
+	var off uint64
+	for _, e := range edges {
+		if !has(from, e.U) || !has(to, e.V) {
+			off |= 1 << uint(e.ID)
+		}
+	}
+	return off
+}
+
+// onPathCount counts the links of g that can carry flow: outside off,
+// the off-path links, and of positive capacity.
+func onPathCount(g *graph.Graph, off uint64) int {
+	n := 0
+	for _, e := range g.Edges() {
+		if off>>uint(e.ID)&1 == 0 && e.Cap > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// sideOffPath is offPathLinks on a plan side: G_s routes from the real
+// terminal to the cut endpoints, G_t from the endpoints to the terminal.
+func sideOffPath(sub *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, toSink bool) uint64 {
+	at := []graph.NodeID{terminal}
+	if toSink {
+		return offPathLinks(sub.G, at, ends)
+	}
+	return offPathLinks(sub.G, ends, at)
 }
 
 // crossNeed is the part of demand d that loads a at the heads and b at
@@ -370,6 +462,9 @@ func (ww *wordWalk) charge(cfgs uint64, final bool) bool {
 // walkFrontier runs the ascending word walk and returns the rows. A
 // panic on the walk (a TestHook fault, say) comes back as the error, and
 // so does a stopped Ctl, as an error wrapping anytime.ErrInterrupted.
+// Off-path links (f.off) are stepped over: a word whose index holds one
+// copies the word without it, and in the other words only the masks
+// free of off-path low links (on) are decided, then spread (spreadLow).
 func walkFrontier(f *frontierCtx, st *Stats) (rows []uint64, err error) {
 	w := newFrontierWorker(len(f.loads))
 	defer foldWorker(st, w, netStats{})
@@ -377,6 +472,9 @@ func walkFrontier(f *frontierCtx, st *Stats) (rows []uint64, err error) {
 	defer anytime.RecoverInto(&err, f.opt.Ctl, "core frontier walk", &cur)
 	ww := newWordWalk(f, w, nil)
 	per := uint64(bits.OnesCount64(ww.valid))
+	offHigh, offLow := f.off>>lowLinks, f.off&(1<<lowLinks-1)
+	on := ww.valid & disjointLow(offLow)
+	spread := int64(ww.n) * int64(bits.OnesCount64(ww.valid&^on))
 	for wi := uint64(0); wi < ww.words; wi++ {
 		base := wi << lowLinks
 		cur = base
@@ -386,14 +484,23 @@ func walkFrontier(f *frontierCtx, st *Stats) (rows []uint64, err error) {
 				f.opt.TestHook(cur)
 			}
 		}
-		for j := 0; j < ww.n; j++ {
-			row := ww.row(j)
-			c := closure(row, wi, 0) & ww.valid
-			w.stats.PrunedClosure += int64(bits.OnesCount64(c))
-			if open := ww.valid &^ c; open != 0 {
-				c |= ww.decideWord(j, wi, open, false)
+		if src := wi &^ offHigh; src != wi {
+			for j := 0; j < ww.n; j++ {
+				row := ww.row(j)
+				row[wi] = row[src]
 			}
-			row[wi] = c
+			w.stats.PrunedOffPath += int64(uint64(ww.n) * per)
+		} else {
+			for j := 0; j < ww.n; j++ {
+				row := ww.row(j)
+				c := closure(row, wi, 0) & on
+				w.stats.PrunedClosure += int64(bits.OnesCount64(c))
+				if open := on &^ c; open != 0 {
+					c |= ww.decideWord(j, wi, open, false) & on
+				}
+				row[wi] = spreadLow(c, offLow)
+			}
+			w.stats.PrunedOffPath += spread
 		}
 		if !ww.charge(uint64(ww.n)*per, false) {
 			break
@@ -404,6 +511,18 @@ func walkFrontier(f *frontierCtx, st *Stats) (rows []uint64, err error) {
 		return nil, fmt.Errorf("core: word walk interrupted: %w", f.opt.Ctl.Err())
 	}
 	return ww.rows, nil
+}
+
+// spreadLow gives every in-word mask the bit of its twin without the
+// low links in off: one shift-and-OR per such link, each copying the
+// masks that lack it onto the masks that hold it. c must be clear at the
+// masks that hold a link of off.
+func spreadLow(c, off uint64) uint64 {
+	for r := off; r != 0; r &= r - 1 {
+		i := bits.TrailingZeros64(r)
+		c |= (c & clearLow[i]) << (uint(1) << uint(i))
+	}
+	return c
 }
 
 // decideWord settles the open bits of assignment j's row word wi — the

@@ -63,7 +63,8 @@ func TestFrontierEquivalenceLargeSides(t *testing.T) {
 // both realization arrays are bit-identical to the dense binary walk's,
 // the compile made exactly |𝒟|·(2^{|E_s|} + 2^{|E_t|}) realization
 // checks, and it charged the budget exactly that many configurations.
-// The pruned pairs cannot exceed the pairs checked. The planted cut can
+// The pairs pruned by capacity, closure and off-path copies cannot
+// exceed the pairs checked. The planted cut can
 // fail minimality; the cut search then picks the split. Once a split is
 // valid, any compile error — a walk panic among them — fails the test.
 // It returns the checked plan, or nil, checking nothing, when no split
@@ -112,9 +113,9 @@ func checkFrontierEquivalent(t *testing.T, seed int64, g *graph.Graph, dem graph
 	if ctl.Configs() != uint64(want) {
 		t.Fatalf("seed %d: frontier charged %d configs, checked %d — budgets diverge", seed, ctl.Configs(), want)
 	}
-	if st.PrunedCapacity+st.PrunedClosure > st.RealizationChecks {
-		t.Fatalf("seed %d: pruned %d+%d pairs out of %d checked",
-			seed, st.PrunedCapacity, st.PrunedClosure, st.RealizationChecks)
+	if st.PrunedCapacity+st.PrunedClosure+st.PrunedOffPath > st.RealizationChecks {
+		t.Fatalf("seed %d: pruned %d+%d+%d pairs out of %d checked",
+			seed, st.PrunedCapacity, st.PrunedClosure, st.PrunedOffPath, st.RealizationChecks)
 	}
 	return plan
 }

@@ -18,6 +18,7 @@ var (
 	mEvalBatches       = stats.Default.Counter("core.eval_batches")
 	mPrunedCapacity    = stats.Default.Counter("core.pruned_capacity")
 	mPrunedClosure     = stats.Default.Counter("core.pruned_closure")
+	mPrunedOffPath     = stats.Default.Counter("core.pruned_off_path")
 	mFrontierMaxFlow   = stats.Default.Counter("core.frontier_max_flow_calls")
 	mKernelBuilds      = stats.Default.Counter("core.kernel_builds")
 	mKernelBuildTime   = stats.Default.Timer("core.kernel_build_time")

@@ -13,38 +13,39 @@ import (
 // kernels) — and the corpora hold those paths to these oracles.
 
 // denseRealized rebuilds both realization arrays of a compiled plan the
-// way §III-C states it: one max-flow solve from scratch for every
-// (assignment, configuration) pair, configurations in plain binary
-// order, on the split and assignment set the plan retained. dem must be
-// the demand the plan was compiled for, and the plan must not be
-// trivially zero.
+// way §III-C states it (denseSide), on the split and assignment set the
+// plan retained. dem must be the demand the plan was compiled for, and
+// the plan must not be trivially zero.
 func denseRealized(plan *Plan, dem graph.Demand) [2][]uint64 {
 	bt := plan.bt
-	subs := [2]*graph.Subgraph{bt.Gs, bt.Gt}
-	terminals := [2]graph.NodeID{bt.Gs.NodeOf[dem.S], bt.Gt.NodeOf[dem.T]}
-	ends := [2][]graph.NodeID{bt.XS, bt.YT}
-	d := plan.ds.D
-	var out [2][]uint64
-	for side := range out {
-		proto, handles, demandArcs, src, dst := sideProto(subs[side], terminals[side], ends[side], side == 0)
-		realized := make([]uint64, uint64(1)<<uint(len(handles)))
-		for j, a := range plan.ds.Assignments {
-			nw := proto.Clone()
-			for i, h := range demandArcs {
-				nw.SetBaseCapDirected(h, a[i])
+	return [2][]uint64{
+		denseSide(bt.Gs, bt.Gs.NodeOf[dem.S], bt.XS, true, plan.ds),
+		denseSide(bt.Gt, bt.Gt.NodeOf[dem.T], bt.YT, false, plan.ds),
+	}
+}
+
+// denseSide rebuilds one side's realization array: one max-flow solve
+// from scratch for every (assignment, configuration) pair,
+// configurations in plain binary order, on the network the word walk
+// solves on (sideProto).
+func denseSide(sub *graph.Subgraph, terminal graph.NodeID, ends []graph.NodeID, toSink bool, ds *assign.Set) []uint64 {
+	proto, handles, demandArcs, src, dst := sideProto(sub, terminal, ends, toSink)
+	realized := make([]uint64, uint64(1)<<uint(len(handles)))
+	for j, a := range ds.Assignments {
+		nw := proto.Clone()
+		for i, h := range demandArcs {
+			nw.SetBaseCapDirected(h, a[i])
+		}
+		for mask := range realized {
+			for i, h := range handles {
+				nw.SetEnabled(h, uint64(mask)&(uint64(1)<<uint(i)) != 0)
 			}
-			for mask := range realized {
-				for i, h := range handles {
-					nw.SetEnabled(h, uint64(mask)&(uint64(1)<<uint(i)) != 0)
-				}
-				if nw.MaxFlow(src, dst, d) >= d {
-					realized[mask] |= uint64(1) << uint(j)
-				}
+			if nw.MaxFlow(src, dst, ds.D) >= ds.D {
+				realized[mask] |= uint64(1) << uint(j)
 			}
 		}
-		out[side] = realized
 	}
-	return out
+	return realized
 }
 
 // denseSegment rebuilds a segment's rows (BuildSegment) the same way:

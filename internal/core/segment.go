@@ -51,7 +51,9 @@ func (s Segment) Relation(a int, mask uint64) uint64 {
 // (a, b) of in × out, row a·|out| + b, whose loads are a on the head arcs
 // and b on the tail arcs.
 func newSegmentCtx(sub *graph.Subgraph, heads []graph.NodeID, in []assign.Assignment, tails []graph.NodeID, out []assign.Assignment, d int, opt *Options) *frontierCtx {
-	f := &frontierCtx{d: d, opt: opt, caps: linkCaps(sub)}
+	f := &frontierCtx{d: d, opt: opt}
+	f.caps, f.off = linkCaps(sub)
+	f.off |= offPathLinks(sub.G, heads, tails)
 	f.proto, f.handles, f.demandArcs, f.src, f.dst = segmentProto(sub, heads, tails)
 	for _, a := range in {
 		for _, b := range out {
@@ -62,13 +64,23 @@ func newSegmentCtx(sub *graph.Subgraph, heads []graph.NodeID, in []assign.Assign
 	return f
 }
 
-// segmentProto builds the prototype network of one segment: its links,
-// then a super source with one arc into each head and a super sink with
-// one arc from each tail, those arcs' handles in that order. The walk and
-// the dense walk the tests hold it to solve on it alike.
+// segmentProto builds the prototype network of one segment, exactly
+// sized: its links, then a super source with one arc into each head and
+// a super sink with one arc from each tail, those arcs' handles in that
+// order. The walk and the dense walk the tests hold it to solve on it
+// alike.
 func segmentProto(sub *graph.Subgraph, heads, tails []graph.NodeID) (proto *maxflow.Network, handles, demandArcs []maxflow.Handle, src, dst int32) {
-	proto = maxflow.New(sub.G.NumNodes())
-	src, dst = proto.AddNode(), proto.AddNode()
+	src, dst = int32(sub.G.NumNodes()), int32(sub.G.NumNodes())+1
+	deg := linkDegrees(sub, int(dst)+1)
+	for _, y := range heads {
+		deg[y]++
+		deg[src]++
+	}
+	for _, x := range tails {
+		deg[x]++
+		deg[dst]++
+	}
+	proto = maxflow.NewSized(deg)
 	handles = make([]maxflow.Handle, sub.G.NumEdges())
 	for _, e := range sub.G.Edges() {
 		handles[e.ID] = proto.AddDirected(int32(e.U), int32(e.V), e.Cap)

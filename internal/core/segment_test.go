@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -51,22 +52,35 @@ func randomSegment(rng *rand.Rand, n, m, kIn, kOut, d int) (segmentCase, bool) {
 
 // checkSegment holds BuildSegment's rows, and each Relation read from
 // them, bit for bit to the dense walk, and the walk's charge to one
-// configuration per (pair, configuration).
-func checkSegment(t *testing.T, c segmentCase) {
+// configuration per (pair, configuration), every mask handed to TestHook
+// once. It returns the links the walk stepped over as off-path.
+func checkSegment(t *testing.T, c segmentCase) (off uint64) {
 	t.Helper()
 	var st Stats
-	seg, err := BuildSegment(c.sub, c.heads, c.in, c.tails, c.out, c.d, &Options{}, &st)
+	m := c.sub.G.NumEdges()
+	seen := make([]int, 1<<uint(m))
+	opt := &Options{TestHook: func(mask uint64) { seen[mask]++ }}
+	seg, err := BuildSegment(c.sub, c.heads, c.in, c.tails, c.out, c.d, opt, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := denseSegment(c.sub, c.heads, c.in, c.tails, c.out, c.d)
-	m := c.sub.G.NumEdges()
 	if !slices.Equal(seg.rows, want) {
 		t.Fatalf("m=%d heads %v in %v tails %v out %v d=%d: rows %x, dense walk %x", m, c.heads, c.in, c.tails, c.out, c.d, seg.rows, want)
 	}
 	pairs := len(c.in) * len(c.out)
 	if st.RealizationChecks != int64(pairs)<<uint(m) {
 		t.Fatalf("m=%d: %d realization checks, want %d pairs × 2^m", m, st.RealizationChecks, pairs)
+	}
+	for mask, k := range seen {
+		if k != 1 {
+			t.Fatalf("m=%d: TestHook saw mask %#x %d times", m, mask, k)
+		}
+	}
+	off = newSegmentCtx(c.sub, c.heads, c.in, c.tails, c.out, c.d, opt).off
+	onMasks := int64(1) << uint(m-bits.OnesCount64(off))
+	if wantOff := int64(pairs) * (int64(1)<<uint(m) - onMasks); st.PrunedOffPath != wantOff {
+		t.Fatalf("m=%d: %d pairs pruned off-path, want %d (off %#x)", m, st.PrunedOffPath, wantOff, off)
 	}
 	words, _ := rowShape(m)
 	for a := range c.in {
@@ -81,22 +95,30 @@ func checkSegment(t *testing.T, c segmentCase) {
 			}
 		}
 	}
+	return off
 }
 
 // The segment walk reproduces the dense walk on every shape the chain
 // hands it: an end segment's single assignment, heads that are also
 // tails (the capacity bound's direct flow), repeated endpoints,
-// zero-capacity links, widths on both sides of the 6-link word edge,
+// zero-capacity links, links off every head→tail path among the six low
+// links and the high ones, widths on both sides of the 6-link word edge,
 // and more than 64 pairs, past what one realized-set word packs.
 func TestSegmentRowsMatchDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	offBoth := 0
 	for m := 0; m <= 9; m++ {
 		for trial := 0; trial < 12; trial++ {
 			n := 1 + rng.Intn(5)
 			if c, ok := randomSegment(rng, n, m, 1+rng.Intn(3), 1+rng.Intn(3), 1+rng.Intn(3)); ok {
-				checkSegment(t, c)
+				if off := checkSegment(t, c); off&(1<<lowLinks-1) != 0 && off>>lowLinks != 0 {
+					offBoth++
+				}
 			}
 		}
+	}
+	if offBoth == 0 {
+		t.Fatal("no random segment had off-path links among both the low and the high links")
 	}
 
 	// Named shapes on a 4-node diamond 0 → {1, 2} → 3 with a cross link
@@ -147,10 +169,15 @@ func TestSegmentRowsMatchDense(t *testing.T) {
 }
 
 // FuzzSegmentRows is TestSegmentRowsMatchDense on fuzzed segments: 1 to 5
-// nodes, 0 to 8 links, 1 to 3 heads and tails, demand 1 to 3.
+// nodes, 0 to 8 links, 1 to 3 heads and tails, demand 1 to 3. The last
+// three seeds draw 7-link segments with off-path links among both the
+// low and the high links (0x42, 0x4f and 0x41).
 func FuzzSegmentRows(f *testing.F) {
 	for _, c := range [][5]uint8{{2, 0, 1, 1, 1}, {4, 5, 2, 2, 2}, {4, 6, 2, 3, 2}, {5, 7, 3, 3, 3}, {3, 8, 1, 2, 3}, {1, 0, 2, 2, 2}} {
 		f.Add(c[0], c[1], c[2], c[3], c[4], int64(c[1])<<8|int64(c[0]))
+	}
+	for _, c := range [][6]uint8{{2, 7, 1, 2, 2, 25}, {2, 7, 2, 2, 1, 44}, {2, 7, 1, 1, 2, 76}} {
+		f.Add(c[0], c[1], c[2], c[3], c[4], int64(c[5]))
 	}
 	f.Fuzz(func(t *testing.T, nb, mb, inb, outb, db uint8, seed int64) {
 		rng := rand.New(rand.NewSource(seed))

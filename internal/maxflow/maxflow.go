@@ -65,6 +65,32 @@ func New(n int) *Network {
 	return &Network{n: n, adj: make([][]int32, n)}
 }
 
+// NewSized returns an empty network of len(deg) nodes laid out for
+// exactly the links to come: node u has room for deg[u] arc ends (a link
+// adds one at each endpoint), all in one backing array, and the arc
+// tables have room for every link, so adding them allocates nothing. A
+// node that outgrows its room moves to a slice of its own.
+func NewSized(deg []int) *Network {
+	ends := 0
+	for _, d := range deg {
+		ends += d
+	}
+	nw := &Network{
+		n:       len(deg),
+		arcs:    make([]arc, 0, ends),
+		base:    make([]int32, 0, ends),
+		enabled: make([]bool, 0, ends/2),
+		adj:     make([][]int32, len(deg)),
+	}
+	flat := make([]int32, ends)
+	off := 0
+	for u, d := range deg {
+		nw.adj[u] = flat[off : off : off+d]
+		off += d
+	}
+	return nw
+}
+
 // NumNodes returns the node count.
 func (nw *Network) NumNodes() int { return nw.n }
 
@@ -164,17 +190,28 @@ func (nw *Network) FlowOn(h Handle) int {
 	return int(nw.base[h] - nw.arcs[h].cap)
 }
 
-// Clone returns an independent copy (Stats reset).
+// Clone returns an independent copy (Stats reset). The copy's adjacency
+// lists share one backing array, with one spare slot per node and one
+// spare arc pair, so the virtual arc of a flow repair (added, then
+// removed again) allocates nothing.
 func (nw *Network) Clone() *Network {
+	ends := len(nw.adj)
+	for _, l := range nw.adj {
+		ends += len(l)
+	}
 	c := &Network{
 		n:       nw.n,
-		arcs:    append([]arc(nil), nw.arcs...),
-		base:    append([]int32(nil), nw.base...),
-		enabled: append([]bool(nil), nw.enabled...),
+		arcs:    append(make([]arc, 0, len(nw.arcs)+2), nw.arcs...),
+		base:    append(make([]int32, 0, len(nw.base)+2), nw.base...),
+		enabled: append(make([]bool, 0, len(nw.enabled)+1), nw.enabled...),
 		adj:     make([][]int32, len(nw.adj)),
 	}
+	flat := make([]int32, ends)
+	off := 0
 	for i, l := range nw.adj {
-		c.adj[i] = append([]int32(nil), l...)
+		end := off + copy(flat[off:], l)
+		c.adj[i] = flat[off : end : end+1]
+		off = end + 1
 	}
 	return c
 }

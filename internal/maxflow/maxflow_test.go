@@ -662,3 +662,70 @@ func TestCutCrossingZeroAllocs(t *testing.T) {
 		t.Fatalf("crossing = %#b, want %#b", got, want)
 	}
 }
+
+// TestSizedAndClonedLayouts builds random networks three ways — New,
+// NewSized with the exact degrees, and a Clone of either — and checks
+// that adding the links into NewSized's room allocates nothing, that a
+// node outgrowing its room (in a sized network or a clone, whose lists
+// share one backing array) leaves every other node's list intact, and
+// that all of them solve every s→t flow alike.
+func TestSizedAndClonedLayouts(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + rng.Intn(8)
+		type link struct{ u, v, c int32 }
+		links := make([]link, rng.Intn(20))
+		deg := make([]int, n)
+		for i := range links {
+			links[i] = link{int32(rng.Intn(n)), int32(rng.Intn(n)), int32(rng.Intn(4))}
+			deg[links[i].u]++
+			deg[links[i].v]++
+		}
+		plain := New(n)
+		for _, l := range links {
+			plain.AddDirected(l.u, l.v, int(l.c))
+		}
+		// AllocsPerRun calls once more than it measures: one sized
+		// network per call.
+		sizedNets := []*Network{NewSized(deg), NewSized(deg), NewSized(deg)}
+		k := 0
+		if allocs := testing.AllocsPerRun(len(sizedNets)-1, func() {
+			for _, l := range links {
+				sizedNets[k].AddDirected(l.u, l.v, int(l.c))
+			}
+			k++
+		}); allocs != 0 {
+			t.Fatalf("trial %d: adding the sized links allocated %v times", trial, allocs)
+		}
+		sized := sizedNets[0]
+		clone := sized.Clone()
+		// Two more links on each network at one node: past the sized
+		// node's room, and past the clone's spare slot.
+		u := int32(rng.Intn(n))
+		for _, l := range []link{{u, int32(rng.Intn(n)), 1}, {int32(rng.Intn(n)), u, 2}} {
+			for _, nw := range []*Network{plain, sized, clone} {
+				nw.AddDirected(l.u, l.v, int(l.c))
+			}
+		}
+		for _, nw := range []*Network{sized, clone} {
+			for u := range plain.adj {
+				if fmt.Sprint(nw.adj[u]) != fmt.Sprint(plain.adj[u]) {
+					t.Fatalf("trial %d: node %d lists arcs %v, want %v", trial, u, nw.adj[u], plain.adj[u])
+				}
+			}
+		}
+		for s := int32(0); s < int32(n); s++ {
+			for d := int32(0); d < int32(n); d++ {
+				if s == d {
+					continue
+				}
+				want := plain.MaxFlow(s, d, -1)
+				for _, nw := range []*Network{sized, clone} {
+					if got := nw.MaxFlow(s, d, -1); got != want {
+						t.Fatalf("trial %d: flow %d→%d is %d, New-built network %d", trial, s, d, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -86,14 +86,21 @@ type SolveStats struct {
 	// PlanCacheHit reports whether the core engine answered from a cached
 	// compiled plan.
 	PlanCacheHit bool `json:"plan_cache_hit"`
-	// PrunedCapacity / PrunedClosure count (assignment, configuration)
-	// pairs the frontier side engine decided without a max-flow call —
-	// capacity bound (unrealizable) and superset closure (realized) — and
-	// FrontierMaxFlowCalls the solves it actually paid. All zero on a
-	// plan-cache hit or when a dense side engine ran.
+	// PrunedCapacity / PrunedClosure / PrunedOffPath count (assignment,
+	// configuration) pairs the frontier side engine decided without a
+	// max-flow call — capacity bound (unrealizable), superset closure
+	// (realized) and a copy past off-path links (as the configuration
+	// without them) — and FrontierMaxFlowCalls the solves it actually
+	// paid. All zero on a plan-cache hit or when a dense side engine ran.
 	PrunedCapacity       int64 `json:"pruned_capacity"`
 	PrunedClosure        int64 `json:"pruned_closure"`
+	PrunedOffPath        int64 `json:"pruned_off_path"`
 	FrontierMaxFlowCalls int64 `json:"frontier_max_flow_calls"`
+	// OnPathLinks is, per side (G_s, G_t), the links of the answering
+	// plan that can carry flow: positive capacity, on a path between the
+	// side's terminal and the cut. The side walk decides configurations
+	// of these only. Core engine only; reported on cache hits too.
+	OnPathLinks [2]int `json:"on_path_links"`
 	// KernelTerms / KernelSegments / KernelLanes describe the compiled
 	// evaluate-phase kernel of the answering plan (core engine only; all
 	// zero only for a trivial plan, whose cut cannot carry the demand):
@@ -149,7 +156,9 @@ func solveStatsFrom(rec *stats.Recorder, elapsed time.Duration, rep Report) *Sol
 		PlanCacheHit:         rep.planCacheHit,
 		PrunedCapacity:       rep.prunedCapacity,
 		PrunedClosure:        rep.prunedClosure,
+		PrunedOffPath:        rep.prunedOffPath,
 		FrontierMaxFlowCalls: rep.frontierMaxFlowCalls,
+		OnPathLinks:          rep.onPathLinks,
 		KernelTerms:          rep.kernelTerms,
 		KernelSegments:       rep.kernelSegments,
 		KernelLanes:          rep.kernelLanes,
